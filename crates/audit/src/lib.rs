@@ -77,10 +77,12 @@ pub const BASELINE_FILE: &str = "audit_baseline.toml";
 /// Per-module upgrades layered on top of the owning crate's rule config.
 /// The sharded serving path (DESIGN.md §17) spans three crates whose new
 /// modules carry stricter contracts than their crates' defaults: `core` and
-/// `datasets` are not lossy-cast crates, but these two modules funnel u64
-/// segment addresses and on-disk island records into `u32` id spaces, so a
-/// bare narrowing there is a real corruption hazard.
-const MODULE_LOSSY_CAST: [&str; 2] = ["crates/core/src/sharded.rs", "crates/datasets/src/scale.rs"];
+/// `datasets` are not lossy-cast crates, but these modules funnel u64
+/// segment addresses and on-disk island records into `u32` id spaces (and
+/// `frozen.rs` maps every source's layout-global node ids to item ids), so
+/// a bare narrowing there is a real corruption hazard.
+const MODULE_LOSSY_CAST: [&str; 3] =
+    ["crates/core/src/frozen.rs", "crates/core/src/sharded.rs", "crates/datasets/src/scale.rs"];
 
 /// Modules held to the full determinism contract even though their crate is
 /// exempt: `serve` may time and shuffle, but shard routing must stay a pure
@@ -297,6 +299,8 @@ mod tests {
         assert!(!core.lossy_casts, "core gaining crate-wide lossy-cast? update this test");
         let sharded = options_for_module(Path::new("crates/core/src/sharded.rs"), core);
         assert!(sharded.lossy_casts, "sharded.rs must get no-lossy-cast");
+        let frozen = options_for_module(Path::new("crates/core/src/frozen.rs"), core);
+        assert!(frozen.lossy_casts, "frozen.rs (shared build + scoring) must get no-lossy-cast");
 
         let datasets = options_for_crate("datasets");
         let scale = options_for_module(Path::new("crates/datasets/src/scale.rs"), datasets);

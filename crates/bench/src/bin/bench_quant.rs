@@ -2,21 +2,20 @@
 //! profile. Writes `results/BENCH_quant.json`.
 //!
 //! For each profile the harness builds one model, quantizes its weights
-//! (the load-time step `ModelRegistry` performs), precomputes each sampled
-//! user's layer-1 [`UserState`](kucnet::UserState) in both precisions, and
-//! then measures three scoring paths per user:
+//! (the load-time step `ModelRegistry` performs), builds each sampled
+//! user's subgraph once, and then measures the two scoring paths the
+//! server runs over a resident subgraph:
 //!
-//! - **f32 full** — the cold path: full L-layer f32 propagation.
-//! - **f32 warm** — f32 resume from the cached `UserState` (layer-1 skip).
-//! - **quant warm** — the i8 path resumed from its own `UserState`: the
-//!   production hot path when a variant serves quantized.
+//! - **f32 full** — the full L-layer f32 propagation.
+//! - **quant full** — the full L-layer i8 propagation: the production path
+//!   when a variant serves quantized.
 //!
 //! Reported per profile: throughput (scores/sec), exact p50/p95/p99 over
 //! the per-call latency samples, and the top-20 f32-vs-i8 rank overlap the
 //! parity gate enforces. Without `--smoke`/`--quick` the binary **exits
-//! nonzero** unless at least one paper profile shows quant-warm throughput
-//! ≥ 1.5× f32-warm with a p99 that is no worse — the ISSUE 9 acceptance
-//! bar — so harness runs cannot silently record a regression.
+//! nonzero** unless at least one paper profile shows quant-full throughput
+//! ≥ 1.5× f32-full with a p99 that is no worse, so harness runs cannot
+//! silently record a regression.
 
 use std::time::Instant;
 
@@ -85,9 +84,8 @@ struct ProfileReport {
     overlap_mean: f64,
     overlap_worst: f64,
     f32_full: PathStats,
-    f32_warm: PathStats,
-    quant_warm: PathStats,
-    warm_speedup: f64,
+    quant_full: PathStats,
+    speedup: f64,
 }
 
 fn bench_profile(
@@ -112,55 +110,30 @@ fn bench_profile(
     let stash = kucnet_tensor::PoolStash::new();
     let mut pool = stash.checkout();
     let users = model.n_users().min(sample_users);
-    // The user sample, with both precisions' states materialized up front
-    // (cache-fill work, excluded from the warm-path timings).
-    let mut graphs = Vec::with_capacity(users);
-    for u in 0..users {
-        let graph = model.build_user_graph(UserId(u as u32));
-        let f32_state = model.build_user_state(&mut pool, &graph, false);
-        let quant_state = model.build_user_state(&mut pool, &graph, true);
-        graphs.push((graph, f32_state, quant_state));
-    }
+    // The user sample's subgraphs, built up front (cache-fill work,
+    // excluded from the scoring timings).
+    let graphs: Vec<_> = (0..users).map(|u| model.build_user_graph(UserId(u as u32))).collect();
 
     let (mut total, mut worst) = (0.0f64, 1.0f64);
-    for (graph, _, _) in &graphs {
-        let exact = model.score_graph_pooled(&mut pool, graph);
-        let quant = model.score_graph_quant_pooled(&mut pool, graph);
+    for graph in &graphs {
+        let exact = model.score_graph_pooled(&mut pool, graph, false);
+        let quant = model.score_graph_pooled(&mut pool, graph, true);
         let overlap = overlap_at_n(&exact, &quant, TOP_N);
         total += overlap;
         worst = worst.min(overlap);
     }
     let overlap_mean = total / graphs.len().max(1) as f64;
 
-    let f32_full = time_path(users, rounds, |u| {
-        let _ = model.score_graph_pooled(&mut pool, &graphs[u].0);
-    });
-    let f32_warm = time_path(users, rounds, |u| {
-        let (graph, state, _) = &graphs[u];
-        let _ = match state {
-            Some(s) => model.score_graph_from_state(&mut pool, graph, s),
-            None => model.score_graph_pooled(&mut pool, graph),
-        };
-    });
-    let quant_warm = time_path(users, rounds, |u| {
-        let (graph, _, state) = &graphs[u];
-        let _ = match state {
-            Some(s) => model.score_graph_from_state(&mut pool, graph, s),
-            None => model.score_graph_quant_pooled(&mut pool, graph),
-        };
-    });
-    let warm_speedup = quant_warm.rps / f32_warm.rps.max(1e-9);
+    let mut time = |quantized: bool| {
+        time_path(users, rounds, |u| {
+            let _ = model.score_graph_pooled(&mut pool, &graphs[u], quantized);
+        })
+    };
+    let f32_full = time(false);
+    let quant_full = time(true);
+    let speedup = quant_full.rps / f32_full.rps.max(1e-9);
 
-    ProfileReport {
-        name,
-        users,
-        overlap_mean,
-        overlap_worst: worst,
-        f32_full,
-        f32_warm,
-        quant_warm,
-        warm_speedup,
-    }
+    ProfileReport { name, users, overlap_mean, overlap_worst: worst, f32_full, quant_full, speedup }
 }
 
 fn main() {
@@ -191,27 +164,27 @@ fn main() {
     println!("\n== Quantized serving benchmark (f32 vs i8) ==");
     for r in &reports {
         println!(
-            "{:<18} overlap@{TOP_N} {:.4} (worst {:.4})   f32_warm {:>7.0}/s p99={}us   \
-             quant_warm {:>7.0}/s p99={}us   {:.2}x",
+            "{:<18} overlap@{TOP_N} {:.4} (worst {:.4})   f32_full {:>7.0}/s p99={}us   \
+             quant_full {:>7.0}/s p99={}us   {:.2}x",
             r.name,
             r.overlap_mean,
             r.overlap_worst,
-            r.f32_warm.rps,
-            r.f32_warm.p99_us,
-            r.quant_warm.rps,
-            r.quant_warm.p99_us,
-            r.warm_speedup
+            r.f32_full.rps,
+            r.f32_full.p99_us,
+            r.quant_full.rps,
+            r.quant_full.p99_us,
+            r.speedup
         );
     }
     let best = reports
         .iter()
-        .max_by(|a, b| a.warm_speedup.total_cmp(&b.warm_speedup))
+        .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
         .expect("at least one profile");
     let gate_ok =
-        reports.iter().any(|r| r.warm_speedup >= 1.5 && r.quant_warm.p99_us <= r.f32_warm.p99_us);
+        reports.iter().any(|r| r.speedup >= 1.5 && r.quant_full.p99_us <= r.f32_full.p99_us);
     println!(
-        "best warm-path speedup: {:.2}x on {} (acceptance gate {})",
-        best.warm_speedup,
+        "best quantized speedup: {:.2}x on {} (acceptance gate {})",
+        best.speedup,
         best.name,
         if gate_ok { "met" } else { "NOT met" }
     );
@@ -228,8 +201,8 @@ fn main() {
             concat!(
                 "    {{\"profile\": \"{}\", \"users\": {}, \"epochs\": {}, ",
                 "\"overlap_mean\": {:.4}, \"overlap_worst\": {:.4},\n",
-                "     \"f32_full\": {}, \"f32_warm\": {}, \"quant_warm\": {}, ",
-                "\"warm_speedup\": {:.3}}}{}\n"
+                "     \"f32_full\": {}, \"quant_full\": {}, ",
+                "\"speedup\": {:.3}}}{}\n"
             ),
             r.name,
             r.users,
@@ -237,9 +210,8 @@ fn main() {
             r.overlap_mean,
             r.overlap_worst,
             path(&r.f32_full),
-            path(&r.f32_warm),
-            path(&r.quant_warm),
-            r.warm_speedup,
+            path(&r.quant_full),
+            r.speedup,
             if k + 1 < reports.len() { "," } else { "" },
         ));
     }
@@ -254,7 +226,7 @@ fn main() {
             "  \"profiles\": [\n",
             "{}",
             "  ],\n",
-            "  \"best_warm_speedup\": {:.3},\n",
+            "  \"best_speedup\": {:.3},\n",
             "  \"gate_speedup_ok\": {}\n",
             "}}\n"
         ),
@@ -263,14 +235,14 @@ fn main() {
         git_commit(),
         TOP_N,
         profile_json,
-        best.warm_speedup,
+        best.speedup,
         gate_ok,
     );
     write_results("BENCH_quant.json", &json);
 
     if !smoke && !quick && !gate_ok {
         eprintln!(
-            "[bench_quant] FAILED: no profile reached 1.5x warm-path speedup \
+            "[bench_quant] FAILED: no profile reached 1.5x quantized speedup \
              with p99 no worse than f32"
         );
         std::process::exit(1);

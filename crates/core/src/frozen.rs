@@ -1,0 +1,181 @@
+//! The scoring pipeline every graph source shares.
+//!
+//! KUCNet scores a user with one pipeline (Algorithm 1, Eqs. 5–7): prune a
+//! user-centric graph with PPR, run `L` attention layers over it, read out
+//! one logit per final-layer node. Only where the adjacency and the PPR
+//! entries come from differs between the in-memory [`crate::KucNet`], one
+//! shard's segments ([`crate::ShardService`]) and a dynamic snapshot
+//! (`kucnet_dynamic::DynamicService`). This module holds the rest, once:
+//!
+//! - [`build_user_graph`] — the selector dispatch over any [`GraphView`];
+//! - [`FrozenModel`] — config, parameters, the lazily published i8
+//!   companion (DESIGN.md §16), the node layout and the inference pools:
+//!   everything that turns a built graph into per-item scores, in either
+//!   precision.
+
+use std::sync::Arc;
+
+use parking_lot::RwLock;
+use rand::rngs::SmallRng;
+
+use kucnet_graph::{
+    build_layered_graph, GraphView, KeepAll, LayeredGraph, LayeringOptions, NodeId, SegmentLayout,
+    UserId,
+};
+use kucnet_ppr::{PprTopK, RandomK};
+use kucnet_tensor::{MatrixPool, ParamStore, PoolStash};
+
+use crate::config::{KucNetConfig, SelectorKind};
+use crate::infer::infer_node_logits_pooled;
+use crate::model::KucNetParams;
+use crate::quant::{infer_node_logits_quant, QuantizedParams};
+
+/// Builds `user`'s pruned computation graph over `view` (Algorithm 1).
+///
+/// The root is the user's own node: users occupy node ids `0..n_users` in
+/// every layout. `ppr_entries` are the user's sparse PPR scores in global
+/// node ids, sorted by node; only [`SelectorKind::PprTopK`] reads them, so
+/// a source may pass an empty slice for the other selectors. `excluded`
+/// hides `(user, item)` interaction edges (training-time target masking).
+/// Given the same view, entries and config, every source builds the same
+/// graph edge for edge.
+pub fn build_user_graph<G: GraphView>(
+    view: &G,
+    user: UserId,
+    config: &KucNetConfig,
+    ppr_entries: &[(u32, f32)],
+    excluded: Vec<(NodeId, NodeId)>,
+) -> LayeredGraph {
+    let root = NodeId(user.0);
+    let opts = LayeringOptions::new(config.depth).exclude_interactions(excluded);
+    match config.selector {
+        SelectorKind::PprTopK => {
+            let mut sel = PprTopK::from_entries(ppr_entries, config.k);
+            build_layered_graph(view, root, &opts, &mut sel)
+        }
+        SelectorKind::RandomK => {
+            let seed =
+                config.seed.wrapping_add(u64::from(user.0).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            build_layered_graph(view, root, &opts, &mut RandomK::new(config.k, seed))
+        }
+        SelectorKind::KeepAll => build_layered_graph(view, root, &opts, &mut KeepAll),
+    }
+}
+
+/// The weights side of scoring: hyper-parameters, the f32 master
+/// parameters, their lazily built i8 companion, the node layout that maps
+/// final-layer nodes to items, and a stash of warm inference pools.
+///
+/// KUCNet learns no node embeddings, so the parameters depend only on the
+/// config and the relation vocabulary: every graph source seeded from the
+/// same config carries bitwise-identical weights.
+pub struct FrozenModel {
+    config: KucNetConfig,
+    layout: SegmentLayout,
+    store: ParamStore,
+    params: KucNetParams,
+    /// The inference-only i8 companion, built on first use from the f32
+    /// master weights and dropped whenever they change
+    /// ([`FrozenModel::store_mut`]). The f32 store stays authoritative.
+    quant: RwLock<Option<Arc<QuantizedParams>>>,
+    pools: PoolStash,
+}
+
+impl FrozenModel {
+    /// Initializes parameters for a graph with `layout` and
+    /// `n_base_relations` base relations, drawing from `rng` (seeded by
+    /// [`crate::model_rng`] so every source gets the same weights).
+    pub(crate) fn init(
+        config: KucNetConfig,
+        layout: SegmentLayout,
+        n_base_relations: u32,
+        rng: &mut SmallRng,
+    ) -> Self {
+        let mut store = ParamStore::new();
+        let n_relations_total = 2 * n_base_relations as usize + 1;
+        let params = KucNetParams::init(&mut store, &config, n_relations_total, rng);
+        Self { config, layout, store, params, quant: RwLock::new(None), pools: PoolStash::new() }
+    }
+
+    /// The hyper-parameters.
+    pub(crate) fn config(&self) -> &KucNetConfig {
+        &self.config
+    }
+
+    /// The global `users | items | entities` node layout.
+    pub(crate) fn layout(&self) -> SegmentLayout {
+        self.layout
+    }
+
+    /// The f32 master parameter values.
+    pub(crate) fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    /// Mutable master weights (training, checkpoint restore). Drops the i8
+    /// companion, which would otherwise go stale.
+    pub(crate) fn store_mut(&mut self) -> &mut ParamStore {
+        *self.quant.write() = None;
+        &mut self.store
+    }
+
+    /// The parameter handles into [`FrozenModel::store`].
+    pub(crate) fn params(&self) -> &KucNetParams {
+        &self.params
+    }
+
+    /// The current i8 companion, built on first use and shared until the
+    /// master weights change.
+    fn quantized_params(&self) -> Arc<QuantizedParams> {
+        if let Some(qp) = self.quant.read().as_ref() {
+            return Arc::clone(qp);
+        }
+        let built = Arc::new(QuantizedParams::build(&self.store, &self.params, &self.config));
+        let mut slot = self.quant.write();
+        // A racing builder may have beaten us; keep whichever landed first
+        // so every concurrent scorer shares one companion.
+        if let Some(qp) = slot.as_ref() {
+            return Arc::clone(qp);
+        }
+        *slot = Some(Arc::clone(&built));
+        built
+    }
+
+    /// Builds the i8 companion now, so the first quantized request does
+    /// not pay for it. Always succeeds.
+    pub fn prepare_quantized(&self) -> bool {
+        let _ = self.quantized_params();
+        true
+    }
+
+    /// Scores every item over `graph` on the exact f32 path, drawing
+    /// intermediates from the model's own pool stash.
+    pub(crate) fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
+        self.score_graph_pooled(&mut self.pools.checkout(), graph, false)
+    }
+
+    /// Scores every item over `graph` (indexed by item id; items absent
+    /// from the final layer score 0, per Algorithm 1), on the i8 path when
+    /// `quantized` and the exact f32 path otherwise.
+    pub fn score_graph_pooled(
+        &self,
+        pool: &mut MatrixPool,
+        graph: &LayeredGraph,
+        quantized: bool,
+    ) -> Vec<f32> {
+        let logits = if quantized {
+            infer_node_logits_quant(pool, &self.quantized_params(), &self.config, graph)
+        } else {
+            infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph)
+        };
+        let mut item_scores = vec![0.0f32; self.layout.n_items as usize];
+        if let Some(last) = graph.node_lists.last() {
+            for (pos, &node) in last.iter().enumerate() {
+                if let Some(item) = self.layout.item_index(node) {
+                    item_scores[item as usize] = logits[pos];
+                }
+            }
+        }
+        item_scores
+    }
+}

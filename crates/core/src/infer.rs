@@ -12,6 +12,9 @@
 //! pruned subgraph of a user" and "score all items over a subgraph" are
 //! deliberately separate operations so a serving cache can memoize the
 //! expensive pruning step and skip straight to scoring on repeat requests.
+//! The three model-backed services (`KucNet`, `ShardService`,
+//! `kucnet_dynamic::DynamicService`) differ only in their graph source and
+//! all score through one [`FrozenModel`](crate::FrozenModel).
 
 use std::sync::Arc;
 
@@ -23,7 +26,6 @@ use kucnet_tensor::{
 
 use crate::config::{Activation, AggregationNorm, KucNetConfig};
 use crate::model::KucNetParams;
-use crate::quant::UserState;
 
 /// Runs the KUCNet propagation (Eqs. 5–7) over `graph` with the frozen
 /// parameters in `store`, returning the score logit of every node in the
@@ -57,14 +59,23 @@ pub fn infer_node_logits_pooled(
     for l in 0..graph.layers.len() {
         h = propagate_layer(pool, store, params, config, graph, l, h);
     }
-    finish_logits(pool, store, params, h)
+    readout(pool, h, store.value(params.final_w))
+}
+
+/// ŷ = w^T h (Eq. 7): one logit per final-layer node, releasing `h`.
+/// Shared by both precisions (the i8 path keeps an exact f32 `w`).
+pub(crate) fn readout(pool: &mut MatrixPool, h: Matrix, final_w: &Matrix) -> Vec<f32> {
+    let mut out = pool.matrix_raw(h.rows(), 1);
+    h.matmul_into(final_w, &mut out);
+    let logits = out.data().to_vec();
+    pool.release_matrix(h);
+    pool.release_matrix(out);
+    logits
 }
 
 /// One propagation layer of the tape-free forward (the loop body of
-/// [`infer_node_logits_pooled`], factored out so the precomputed-state
-/// resume path runs the *same machine code* — bitwise identity between the
-/// full pass and a layer-1 resume is by construction, not by tolerance).
-/// Consumes (and releases) `h`, returning the next layer's activations.
+/// [`infer_node_logits_pooled`]). Consumes (and releases) `h`, returning
+/// the next layer's activations.
 fn propagate_layer(
     pool: &mut MatrixPool,
     store: &ParamStore,
@@ -137,16 +148,29 @@ fn propagate_layer(
     pool.release_matrix(hr);
     pool.release_matrix(summed);
     pool.release_matrix(msg);
+    layer_epilogue(pool, config, &layer.dst_pos, &mut agg);
+    pool.release_matrix(h);
+    agg
+}
+
+/// The per-layer epilogue both precisions share: mean-in normalization of
+/// the aggregated rows (when configured), then the activation `δ`.
+pub(crate) fn layer_epilogue(
+    pool: &mut MatrixPool,
+    config: &KucNetConfig,
+    dst_pos: &[u32],
+    agg: &mut Matrix,
+) {
     if config.agg_norm == AggregationNorm::MeanIn {
-        let mut indeg = pool.acquire_zeroed(out_rows);
-        for &dst in &layer.dst_pos {
+        let mut indeg = pool.acquire_zeroed(agg.rows());
+        for &dst in dst_pos {
             indeg[dst as usize] += 1.0;
         }
-        let mut inv = pool.acquire(out_rows);
+        let mut inv = pool.acquire(agg.rows());
         for (slot, &c) in inv.iter_mut().zip(indeg.iter()) {
             *slot = if c > 0.0 { 1.0 / c } else { 0.0 };
         }
-        scale_rows_in_place(&mut agg, &inv);
+        scale_rows_in_place(agg, &inv);
         pool.release(indeg);
         pool.release(inv);
     }
@@ -163,63 +187,6 @@ fn propagate_layer(
             }
         }
     }
-    pool.release_matrix(h);
-    agg
-}
-
-/// ŷ = w^T h (Eq. 7): one logit per final-layer node, releasing `h`.
-fn finish_logits(
-    pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
-    h: Matrix,
-) -> Vec<f32> {
-    let mut out = pool.matrix_raw(h.rows(), 1);
-    h.matmul_into(store.value(params.final_w), &mut out);
-    let logits = out.data().to_vec();
-    pool.release_matrix(h);
-    pool.release_matrix(out);
-    logits
-}
-
-/// The user's layer-1 propagation `h¹` (the per-user half of the forward
-/// pass that depends only on the subgraph and the frozen parameters, not on
-/// which items are being ranked). Materialized once at cache-fill time as a
-/// [`UserState`]; [`infer_node_logits_resume`] then skips layer 1 entirely.
-pub fn infer_first_layer(
-    pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-) -> Matrix {
-    assert_eq!(params.layers.len(), graph.depth(), "depth mismatch");
-    assert!(!graph.layers.is_empty(), "cannot precompute layer 1 of a depth-0 graph");
-    let h0 = pool.matrix_zeroed(1, config.dim);
-    propagate_layer(pool, store, params, config, graph, 0, h0)
-}
-
-/// [`infer_node_logits_pooled`] resuming from a precomputed `h¹` (see
-/// [`infer_first_layer`]): runs layers `2..L` and the readout only. Both
-/// paths share [`propagate_layer`] verbatim, so for the same `graph` and
-/// parameters the resumed logits are **bitwise identical** to the full
-/// pass — the warm serve path can skip layer 1 without a parity cost.
-pub fn infer_node_logits_resume(
-    pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-    h1: &Matrix,
-) -> Vec<f32> {
-    assert_eq!(params.layers.len(), graph.depth(), "depth mismatch");
-    assert!(!graph.layers.is_empty(), "cannot resume a depth-0 graph");
-    assert_eq!(h1.rows(), graph.node_lists[1].len(), "stale user state: layer-1 row mismatch");
-    let mut h = pool.matrix_copy(h1);
-    for l in 1..graph.layers.len() {
-        h = propagate_layer(pool, store, params, config, graph, l, h);
-    }
-    finish_logits(pool, store, params, h)
 }
 
 /// A trained model usable as an online candidate scorer.
@@ -230,6 +197,11 @@ pub fn infer_node_logits_resume(
 /// while [`score_graph`] is one propagation over an already-built subgraph
 /// (cheap, depends on the current parameters). `kucnet-serve` caches the
 /// former per user and calls the latter per request.
+///
+/// Precision is a per-call argument of
+/// [`score_graph_pooled`](ScoreService::score_graph_pooled), not a separate
+/// path: [`prepare_quantized`](ScoreService::prepare_quantized) is the one
+/// signal that a service has an i8 path at all.
 ///
 /// [`build_user_graph`]: ScoreService::build_user_graph
 /// [`score_graph`]: ScoreService::score_graph
@@ -247,72 +219,33 @@ pub trait ScoreService: Send + Sync {
     /// scratch (no internal caching — callers own memoization policy).
     fn build_user_graph(&self, user: UserId) -> Arc<LayeredGraph>;
 
-    /// Scores every item for the user `graph` was built for
-    /// (indexed by `ItemId.0`; items absent from the final layer score 0).
+    /// Scores every item for the user `graph` was built for on the exact
+    /// f32 path (indexed by `ItemId.0`; items absent from the final layer
+    /// score 0).
     fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32>;
 
     /// [`score_graph`](ScoreService::score_graph) drawing intermediates from
-    /// a caller-held pool. The default ignores the pool; implementations
-    /// with pooled inference paths override it so batch scorers that keep
-    /// one warm pool per worker avoid all per-request allocation. Must
-    /// return exactly what `score_graph` would.
-    fn score_graph_pooled(&self, _pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
+    /// a caller-held pool, on the i8 path (DESIGN.md §16) when `quantized`.
+    /// The default ignores the pool and the precision; model-backed
+    /// services override it so batch scorers that keep one warm pool per
+    /// worker avoid all per-request allocation. With `quantized == false`
+    /// it must return exactly what `score_graph` would.
+    fn score_graph_pooled(
+        &self,
+        _pool: &mut MatrixPool,
+        graph: &LayeredGraph,
+        _quantized: bool,
+    ) -> Vec<f32> {
         self.score_graph(graph)
     }
 
-    /// True when the service carries an inference-only i8 companion of its
-    /// weights (DESIGN.md §16) and can serve the quantized scoring path.
-    /// The default is unsupported; `kucnet::KucNet` overrides it.
-    fn supports_quantized(&self) -> bool {
-        false
-    }
-
     /// Builds (or refreshes) the quantized weight companion from the
-    /// current f32 master weights. The registry calls this at model load /
-    /// hot-swap time so toggling a variant to the quantized path is
-    /// instant. Returns whether a companion is now available; the default
-    /// does nothing and reports `false`.
+    /// current f32 master weights and reports whether the service has an
+    /// i8 path. The registry calls this at model load / hot-swap time so
+    /// toggling a variant to the quantized path is instant, and refuses the
+    /// toggle when it returns `false` (the default).
     fn prepare_quantized(&self) -> bool {
         false
-    }
-
-    /// Scores a subgraph via the quantized (i8) inference path. Services
-    /// without one fall back to the exact f32 path, so callers may invoke
-    /// this unconditionally once a variant is flagged quantized.
-    fn score_graph_quant_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.score_graph_pooled(pool, graph)
-    }
-
-    /// Materializes the user's layer-1 propagation (the per-user half of
-    /// the forward pass) for reuse by
-    /// [`score_graph_from_state`](ScoreService::score_graph_from_state).
-    /// Called at cache-fill time, in the precision selected for the
-    /// variant; the serving cache stores the result under the same
-    /// `CacheVersion{model, graph}` stamp as the subgraph, so model swaps
-    /// and dynamic-graph ticks invalidate both together. `None` (the
-    /// default) means the service does not precompute state and every
-    /// request runs the full forward.
-    fn build_user_state(
-        &self,
-        _pool: &mut MatrixPool,
-        _graph: &LayeredGraph,
-        _quantized: bool,
-    ) -> Option<Arc<UserState>> {
-        None
-    }
-
-    /// Warm-path scoring resuming from a precomputed [`UserState`]: runs
-    /// layers `2..L` only. For an f32 state this must return bitwise what
-    /// the full f32 pass would; for a quantized state, what the full
-    /// quantized pass would. The default ignores the state and runs the
-    /// full f32 path.
-    fn score_graph_from_state(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        _state: &UserState,
-    ) -> Vec<f32> {
-        self.score_graph_pooled(pool, graph)
     }
 
     /// Convenience: build the graph and score it in one call.

@@ -10,28 +10,22 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use kucnet_eval::Recommender;
-use kucnet_graph::{
-    build_layered_graph, Ckg, ItemId, KeepAll, LayeredGraph, LayeringOptions, NodeId, UserId,
-};
-use kucnet_ppr::{PprCache, PprConfig, RandomK};
+use kucnet_graph::{Ckg, ItemId, LayeredGraph, NodeId, UserId};
+use kucnet_ppr::{PprCache, PprConfig};
 use kucnet_tensor::{
-    collect_grads, Adam, GradEntry, Matrix, MatrixPool, ParamStore, PoolStash, Tape, TapeStash, Var,
+    collect_grads, Adam, GradEntry, Matrix, MatrixPool, ParamStore, Tape, TapeStash, Var,
 };
 
 use crate::config::{KucNetConfig, SelectorKind};
-use crate::infer::{
-    infer_first_layer, infer_node_logits_pooled, infer_node_logits_resume, ScoreService,
-};
-use crate::model::{forward, model_rng, score_logits, KucNetParams};
-use crate::quant::{infer_node_logits_quant, quant_first_layer, QuantizedParams, UserState};
+use crate::frozen::{build_user_graph, FrozenModel};
+use crate::infer::ScoreService;
+use crate::model::{forward, model_rng, score_logits};
 
 /// A KUCNet model bound to one CKG (built from a training split).
 pub struct KucNet {
-    config: KucNetConfig,
+    model: FrozenModel,
     ckg: Ckg,
     ppr: Option<PprCache>,
-    store: ParamStore,
-    params: KucNetParams,
     user_pos: Vec<Vec<ItemId>>,
     adam: Adam,
     /// Drives only the per-epoch user shuffle; all per-user randomness
@@ -48,13 +42,6 @@ pub struct KucNet {
     /// it (and its buffer pool) across every user it processes, so steady-
     /// state training allocates O(1) matrices per user instead of O(ops).
     tape_stash: TapeStash,
-    /// Warm inference pools for the tape-free scoring path, shared the same
-    /// way across evaluation/serving workers.
-    infer_pools: PoolStash,
-    /// The inference-only i8 weight companion (DESIGN.md §16), built lazily
-    /// from the current f32 master weights and dropped whenever they change
-    /// (`train_epoch`, `load_params`). The f32 store stays authoritative.
-    quant: RwLock<Option<Arc<QuantizedParams>>>,
     /// Wall-clock seconds spent in `PprCache::compute` (paper Table VI).
     pub ppr_seconds: f64,
 }
@@ -65,13 +52,6 @@ impl KucNet {
     pub fn new(config: KucNetConfig, ckg: Ckg) -> Self {
         debug_assert_eq!(ckg.csr().validate(), Ok(()), "CKG adjacency violates CSR invariants");
         let mut rng = model_rng(&config);
-        let mut store = ParamStore::new();
-        let params = KucNetParams::init(
-            &mut store,
-            &config,
-            ckg.csr().n_relations_total() as usize,
-            &mut rng,
-        );
         let (ppr, ppr_seconds) = if config.selector == SelectorKind::PprTopK {
             let started = std::time::Instant::now();
             let cache = PprCache::compute(
@@ -90,27 +70,24 @@ impl KucNet {
             user_pos[u.0 as usize].push(i);
         }
         let adam = Adam::new(config.learning_rate, config.weight_decay);
+        let model = FrozenModel::init(config, ckg.layout(), ckg.csr().n_base_relations(), &mut rng);
         Self {
-            config,
+            model,
             ckg,
             ppr,
-            store,
-            params,
             user_pos,
             adam,
             rng,
             epochs_trained: 0,
             infer_cache: RwLock::new(HashMap::new()),
             tape_stash: TapeStash::new(),
-            infer_pools: PoolStash::new(),
-            quant: RwLock::new(None),
             ppr_seconds,
         }
     }
 
     /// The model's hyper-parameters.
     pub fn config(&self) -> &KucNetConfig {
-        &self.config
+        self.model.config()
     }
 
     /// The CKG the model is bound to.
@@ -118,29 +95,17 @@ impl KucNet {
         &self.ckg
     }
 
+    /// The weights side of the model: what every graph source scores
+    /// through (see [`FrozenModel`]).
+    pub fn frozen(&self) -> &FrozenModel {
+        &self.model
+    }
+
     /// Builds the pruned user-centric computation graph for `user`,
     /// optionally hiding interaction edges (training-time target masking).
     pub fn build_graph(&self, user: UserId, excluded: Vec<(NodeId, NodeId)>) -> LayeredGraph {
-        let root = self.ckg.user_node(user);
-        let opts = LayeringOptions::new(self.config.depth).exclude_interactions(excluded);
-        let graph = match self.config.selector {
-            SelectorKind::PprTopK => {
-                // audit: allow(no-panic) — `new` always builds the cache when
-                // the selector is PprTopK; a miss is an internal logic error.
-                let cache = self.ppr.as_ref().expect("PPR cache present for PprTopK");
-                let mut sel = cache.selector(user, self.config.k);
-                build_layered_graph(self.ckg.csr(), root, &opts, &mut sel)
-            }
-            SelectorKind::RandomK => {
-                let seed = self
-                    .config
-                    .seed
-                    .wrapping_add((user.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut sel = RandomK::new(self.config.k, seed);
-                build_layered_graph(self.ckg.csr(), root, &opts, &mut sel)
-            }
-            SelectorKind::KeepAll => build_layered_graph(self.ckg.csr(), root, &opts, &mut KeepAll),
-        };
+        let entries = self.ppr.as_ref().map_or(&[][..], |cache| cache.entries(user));
+        let graph = build_user_graph(self.ckg.csr(), user, self.config(), entries, excluded);
         debug_assert_eq!(
             graph.validate(self.ckg.csr()),
             Ok(()),
@@ -165,11 +130,11 @@ impl KucNet {
             .filter(|&u| !self.user_pos[u as usize].is_empty())
             .collect();
         users.shuffle(&mut self.rng);
-        let threads = self.config.threads.max(1);
+        let threads = self.config().threads.max(1);
         let mut total_loss = 0.0f64;
         let mut total_pairs = 0usize;
 
-        for batch in users.chunks(self.config.batch_users) {
+        for batch in users.chunks(self.config().batch_users) {
             let contributions = {
                 let this: &Self = self;
                 // Each worker checks one warm tape out of the stash and
@@ -185,7 +150,8 @@ impl KucNet {
             // Ordered reduction: per-parameter gradient matrices are summed
             // in batch (user) order, so float accumulation order — and thus
             // the Adam step — is independent of the thread count.
-            let mut acc: Vec<Option<Matrix>> = (0..self.store.len()).map(|_| None).collect();
+            let mut acc: Vec<Option<Matrix>> =
+                (0..self.model.store().len()).map(|_| None).collect();
             let mut batch_loss = 0.0f64;
             let mut batch_pairs = 0usize;
             for c in contributions {
@@ -208,11 +174,8 @@ impl KucNet {
                 .enumerate()
                 .filter_map(|(id, m)| m.map(|grad| GradEntry { id, grad }))
                 .collect();
-            self.adam.step(&mut self.store, &grads);
+            self.adam.step(self.model.store_mut(), &grads);
         }
-
-        // The f32 master weights changed: any i8 companion is now stale.
-        *self.quant.write() = None;
 
         if total_pairs == 0 {
             0.0
@@ -221,46 +184,16 @@ impl KucNet {
         }
     }
 
-    /// The current quantized companion, built on first use from the f32
-    /// master weights and shared until they change. See DESIGN.md §16.
-    fn quantized_params(&self) -> Arc<QuantizedParams> {
-        if let Some(qp) = self.quant.read().as_ref() {
-            return Arc::clone(qp);
-        }
-        let built = Arc::new(QuantizedParams::build(&self.store, &self.params, &self.config));
-        let mut slot = self.quant.write();
-        // A racing builder may have beaten us; keep whichever landed first
-        // so every concurrent scorer shares one companion.
-        if let Some(qp) = slot.as_ref() {
-            return Arc::clone(qp);
-        }
-        *slot = Some(Arc::clone(&built));
-        built
-    }
-
-    /// Maps final-layer node logits to a dense per-item score vector
-    /// (items absent from the final layer score 0, per Algorithm 1).
-    fn logits_to_item_scores(&self, graph: &LayeredGraph, logits: &[f32]) -> Vec<f32> {
-        let mut item_scores = vec![0.0f32; self.ckg.n_items()];
-        if let Some(last) = graph.node_lists.last() {
-            for (pos, &node) in last.iter().enumerate() {
-                if let Some(item) = self.ckg.as_item(node) {
-                    item_scores[item.0 as usize] = logits[pos];
-                }
-            }
-        }
-        item_scores
-    }
-
     /// Computes one user's training contribution for `epoch`: BPR pair loss
     /// and parameter gradients from that user's subgraph, on the provided
     /// (reset-on-entry, pooled) tape. Pure given `(epoch, user)` and the
     /// current parameters — safe to run on any worker thread in any order.
     fn user_contribution(&self, epoch: u64, tape: &Tape, user: UserId) -> UserContribution {
         tape.reset();
-        let mut rng = per_user_rng(self.config.seed, epoch, user);
+        let config = self.config();
+        let mut rng = per_user_rng(config.seed, epoch, user);
         let pos_all = &self.user_pos[user.0 as usize];
-        let n_pos = self.config.pos_per_user.min(pos_all.len());
+        let n_pos = config.pos_per_user.min(pos_all.len());
         let mut pos: Vec<ItemId> = pos_all.clone();
         pos.shuffle(&mut rng);
         pos.truncate(n_pos);
@@ -270,17 +203,16 @@ impl KucNet {
         // Interaction-edge dropout (config.ui_edge_dropout): hide a random
         // share of the user's remaining history so positives must also be
         // explained through KG paths.
-        if self.config.ui_edge_dropout > 0.0 {
+        if config.ui_edge_dropout > 0.0 {
             for &i in pos_all {
-                if !pos.contains(&i) && rng.random_range(0.0f32..1.0) < self.config.ui_edge_dropout
-                {
+                if !pos.contains(&i) && rng.random_range(0.0f32..1.0) < config.ui_edge_dropout {
                     excluded.push((self.ckg.user_node(user), self.ckg.item_node(i)));
                 }
             }
         }
         let graph = self.build_graph(user, excluded);
-        let (bound, bindings) = self.params.bind(&self.store, tape);
-        let out = forward(tape, &bound, &self.config, &graph, Some(&mut rng));
+        let (bound, bindings) = self.model.params().bind(self.model.store(), tape);
+        let out = forward(tape, &bound, config, &graph, Some(&mut rng));
         let scores = score_logits(tape, &bound, out.final_h);
 
         let score_of = |item: ItemId| -> Var {
@@ -294,7 +226,7 @@ impl KucNet {
         let mut terms: Vec<Var> = Vec::new();
         for &p in &pos {
             let sp = score_of(p);
-            for _ in 0..self.config.neg_per_pos {
+            for _ in 0..config.neg_per_pos {
                 let neg = sample_negative(&mut rng, pos_all, n_items);
                 let sn = score_of(neg);
                 // -ln σ(ŷ_ui - ŷ_uj) == softplus(-(ŷ_ui - ŷ_uj))
@@ -329,8 +261,9 @@ impl KucNet {
     /// Trains with a per-epoch callback `(epoch, mean_loss, &model)` — used
     /// for learning curves and early diagnostics.
     pub fn fit_with_callback(&mut self, mut callback: impl FnMut(usize, f32, &Self)) -> Vec<f32> {
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for epoch in 0..self.config.epochs {
+        let epochs = self.config().epochs;
+        let mut losses = Vec::with_capacity(epochs);
+        for epoch in 0..epochs {
             let loss = self.train_epoch();
             losses.push(loss);
             callback(epoch, loss, self);
@@ -354,15 +287,7 @@ impl KucNet {
     /// [`crate::infer`]). Items absent from the final layer score 0, per
     /// Algorithm 1.
     pub fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-        let mut pool = self.infer_pools.checkout();
-        self.score_graph_with_pool(&mut pool, graph)
-    }
-
-    /// [`KucNet::score_graph`] drawing intermediates from a caller-held warm
-    /// pool (the zero-allocation batch-scoring path).
-    pub fn score_graph_with_pool(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
-        self.logits_to_item_scores(graph, &logits)
+        self.model.score_graph(graph)
     }
 
     /// Number of edges in the pruned inference graph of `user`
@@ -378,7 +303,7 @@ impl KucNet {
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), kucnet_tensor::CheckpointError> {
-        self.store.save(path)
+        self.model.store().save(path)
     }
 
     /// Restores parameters from a checkpoint produced by
@@ -392,33 +317,32 @@ impl KucNet {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), kucnet_tensor::CheckpointError> {
         let loaded = ParamStore::load(path)?;
-        if loaded.len() != self.store.len() {
+        let store = self.model.store();
+        if loaded.len() != store.len() {
             return Err(kucnet_tensor::CheckpointError::Format(format!(
                 "parameter count mismatch: checkpoint has {}, model has {}",
                 loaded.len(),
-                self.store.len()
+                store.len()
             )));
         }
-        for (name, id) in self.store.names() {
+        for (name, id) in store.names() {
             let src = loaded.id(name).ok_or_else(|| {
                 kucnet_tensor::CheckpointError::Format(format!("missing parameter {name}"))
             })?;
-            if loaded.value(src).shape() != self.store.value(id).shape() {
+            if loaded.value(src).shape() != store.value(id).shape() {
                 return Err(kucnet_tensor::CheckpointError::Format(format!(
                     "shape mismatch for {name}"
                 )));
             }
         }
-        self.store = loaded;
-        // New master weights: drop the stale i8 companion (rebuilt lazily).
-        *self.quant.write() = None;
+        *self.model.store_mut() = loaded;
         Ok(())
     }
 
     /// Binds the trained parameters as constants onto `tape` (used by the
     /// per-pair `KUCNet-UI` scoring path).
     pub fn params_frozen(&self, tape: &Tape) -> crate::model::BoundParams {
-        self.params.bind_frozen(&self.store, tape)
+        self.model.params().bind_frozen(self.model.store(), tape)
     }
 
     /// Attention weights and graph for explanation (Figure 7); see
@@ -434,15 +358,15 @@ impl KucNet {
     /// model did not build itself (e.g. a pinned dynamic snapshot).
     pub fn attention_on(&self, graph: &LayeredGraph) -> Vec<Vec<f32>> {
         let tape = self.tape_stash.checkout();
-        let bound = self.params.bind_frozen(&self.store, &tape);
-        let out = forward(&tape, &bound, &self.config, graph, None);
+        let bound = self.params_frozen(&tape);
+        let out = forward(&tape, &bound, self.config(), graph, None);
         out.attention
     }
 }
 
 impl Recommender for KucNet {
     fn name(&self) -> String {
-        self.config.variant_name().to_string()
+        self.config().variant_name().to_string()
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
@@ -453,13 +377,13 @@ impl Recommender for KucNet {
     }
 
     fn num_params(&self) -> usize {
-        self.store.num_scalars()
+        self.model.store().num_scalars()
     }
 }
 
 impl ScoreService for KucNet {
     fn name(&self) -> String {
-        self.config.variant_name().to_string()
+        self.config().variant_name().to_string()
     }
 
     fn n_users(&self) -> usize {
@@ -481,63 +405,17 @@ impl ScoreService for KucNet {
         KucNet::score_graph(self, graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.score_graph_with_pool(pool, graph)
-    }
-
-    fn supports_quantized(&self) -> bool {
-        true
-    }
-
-    fn prepare_quantized(&self) -> bool {
-        let _ = self.quantized_params();
-        true
-    }
-
-    fn score_graph_quant_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let qp = self.quantized_params();
-        let logits = infer_node_logits_quant(pool, &qp, &self.config, graph, None);
-        self.logits_to_item_scores(graph, &logits)
-    }
-
-    fn build_user_state(
+    fn score_graph_pooled(
         &self,
         pool: &mut MatrixPool,
         graph: &LayeredGraph,
         quantized: bool,
-    ) -> Option<Arc<UserState>> {
-        if graph.layers.is_empty() {
-            return None;
-        }
-        let h1 = if quantized {
-            let qp = self.quantized_params();
-            quant_first_layer(pool, &qp, &self.config, graph)
-        } else {
-            infer_first_layer(pool, &self.store, &self.params, &self.config, graph)
-        };
-        Some(Arc::new(UserState::new(quantized, h1)))
+    ) -> Vec<f32> {
+        self.model.score_graph_pooled(pool, graph, quantized)
     }
 
-    fn score_graph_from_state(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        state: &UserState,
-    ) -> Vec<f32> {
-        let logits = if state.quantized() {
-            let qp = self.quantized_params();
-            infer_node_logits_quant(pool, &qp, &self.config, graph, Some(state.h1()))
-        } else {
-            infer_node_logits_resume(
-                pool,
-                &self.store,
-                &self.params,
-                &self.config,
-                graph,
-                state.h1(),
-            )
-        };
-        self.logits_to_item_scores(graph, &logits)
+    fn prepare_quantized(&self) -> bool {
+        self.model.prepare_quantized()
     }
 
     fn explain_item(
@@ -662,7 +540,7 @@ mod tests {
             };
             let (mut model, _) = tiny_model(config);
             let losses = model.fit();
-            let w = model.store.value(model.params.final_w).data().to_vec();
+            let w = model.model.store().value(model.model.params().final_w).data().to_vec();
             (losses, w)
         };
         let (loss1, w1) = run(1);

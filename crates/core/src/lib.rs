@@ -31,6 +31,7 @@
 
 mod config;
 mod explain;
+mod frozen;
 mod infer;
 mod kucnet;
 mod model;
@@ -40,16 +41,12 @@ mod variants;
 
 pub use config::{Activation, AggregationNorm, KucNetConfig, SelectorKind};
 pub use explain::{explain, explain_on, ExplainedEdge, Explanation};
-pub use infer::{
-    infer_first_layer, infer_node_logits, infer_node_logits_resume, ExplainOutput, GraphContext,
-    ScoreService, StaticGraphContext,
-};
+pub use frozen::{build_user_graph, FrozenModel};
+pub use infer::{infer_node_logits, ExplainOutput, GraphContext, ScoreService, StaticGraphContext};
 pub use kucnet::KucNet;
 pub use model::{
     forward, score_logits, BoundLayer, BoundParams, ForwardOutput, KucNetParams, LayerParamIds,
 };
-pub use quant::{
-    infer_node_logits_quant, quant_first_layer, QuantLayer, QuantizedParams, UserState,
-};
+pub use quant::{infer_node_logits_quant, QuantLayer, QuantizedParams};
 pub use sharded::ShardService;
 pub use variants::{score_items_pairwise, score_pair, ui_comparison_config, PairScore};

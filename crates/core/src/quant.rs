@@ -14,11 +14,6 @@
 //! projections. This is *not* bitwise-equal to the f32 path (quantization
 //! is lossy and the factored sum reassociates), which is why serving gates
 //! it behind the ≥ 99 % rank-parity check instead of a bitwise one.
-//!
-//! [`UserState`] is the other half of the subsystem: the layer-1 output
-//! `h¹` — a pure function of the user's subgraph and the frozen weights —
-//! materialized at cache-fill time in the variant's precision, so warm
-//! requests resume at layer 2.
 
 use kucnet_graph::LayeredGraph;
 use kucnet_tensor::{
@@ -26,7 +21,8 @@ use kucnet_tensor::{
     MatrixPool, ParamStore, QuantMatrix,
 };
 
-use crate::config::{Activation, AggregationNorm, KucNetConfig};
+use crate::config::{AggregationNorm, KucNetConfig};
+use crate::infer::{layer_epilogue, readout};
 use crate::model::KucNetParams;
 
 /// One layer's quantized companion: transposed-quantized projections plus
@@ -125,40 +121,6 @@ impl QuantizedParams {
     }
 }
 
-/// A user's materialized layer-1 propagation `h¹`, tagged with the
-/// precision that produced it. Stored next to the cached subgraph under the
-/// same `CacheVersion{model, graph}` stamp, so every event that invalidates
-/// the subgraph (model swap, precision toggle, dynamic-graph tick)
-/// invalidates the state with it — the state can never outlive the weights
-/// or the graph it was computed from.
-#[derive(Clone, Debug)]
-pub struct UserState {
-    quantized: bool,
-    h1: Matrix,
-}
-
-impl UserState {
-    /// Wraps a layer-1 output computed in the given precision.
-    pub fn new(quantized: bool, h1: Matrix) -> Self {
-        Self { quantized, h1 }
-    }
-
-    /// Whether `h1` came from the quantized forward (resume must match).
-    pub fn quantized(&self) -> bool {
-        self.quantized
-    }
-
-    /// The layer-1 activations (`|V¹| × d`).
-    pub fn h1(&self) -> &Matrix {
-        &self.h1
-    }
-
-    /// Approximate heap footprint in bytes (for cache accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.h1.len() * 4
-    }
-}
-
 /// One quantized propagation layer: node-level quantized matmuls, then a
 /// single fused streaming pass over the edges. Consumes (and releases) `h`.
 fn quant_propagate_layer(
@@ -240,97 +202,32 @@ fn quant_propagate_layer(
     if let Some(s) = scale {
         pool.release_matrix(s);
     }
-    if config.agg_norm == AggregationNorm::MeanIn {
-        let mut indeg = pool.acquire_zeroed(out_rows);
-        for &dst in &layer.dst_pos {
-            indeg[dst as usize] += 1.0;
-        }
-        for (r, &c) in indeg.iter().enumerate() {
-            if c > 0.0 {
-                let inv = 1.0 / c;
-                for x in agg.row_mut(r) {
-                    *x *= inv;
-                }
-            } else {
-                for x in agg.row_mut(r) {
-                    *x = 0.0;
-                }
-            }
-        }
-        pool.release(indeg);
-    }
-    match config.activation {
-        Activation::Identity => {}
-        Activation::Tanh => {
-            for x in agg.data_mut() {
-                *x = x.tanh();
-            }
-        }
-        Activation::Relu => {
-            for x in agg.data_mut() {
-                *x = x.max(0.0);
-            }
-        }
-    }
+    layer_epilogue(pool, config, &layer.dst_pos, &mut agg);
     pool.release_matrix(h);
     agg
 }
 
-/// The quantized layer-1 propagation `h¹` (see
-/// [`infer_first_layer`](crate::infer_first_layer) for the f32 twin).
-pub fn quant_first_layer(
-    pool: &mut MatrixPool,
-    qp: &QuantizedParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-) -> Matrix {
-    assert_eq!(qp.layers.len(), graph.depth(), "depth mismatch");
-    assert!(!graph.layers.is_empty(), "cannot precompute layer 1 of a depth-0 graph");
-    let mut scratch = (Vec::new(), Vec::new());
-    let h0 = pool.matrix_zeroed(1, config.dim);
-    quant_propagate_layer(pool, qp, config, graph, 0, &mut scratch, h0)
-}
-
 /// The full quantized forward: per-node logits over `graph`'s final layer.
-/// With `resume = Some(h¹)` the pass starts at layer 2 from the precomputed
-/// state — bitwise identical to the full quantized pass, because both run
-/// the same per-layer code on the same deterministic inputs.
 pub fn infer_node_logits_quant(
     pool: &mut MatrixPool,
     qp: &QuantizedParams,
     config: &KucNetConfig,
     graph: &LayeredGraph,
-    resume: Option<&Matrix>,
 ) -> Vec<f32> {
     assert_eq!(qp.layers.len(), graph.depth(), "depth mismatch");
     let mut scratch = (Vec::new(), Vec::new());
-    let (mut h, start) = match resume {
-        Some(h1) => {
-            assert!(!graph.layers.is_empty(), "cannot resume a depth-0 graph");
-            assert_eq!(
-                h1.rows(),
-                graph.node_lists[1].len(),
-                "stale user state: layer-1 row mismatch"
-            );
-            (pool.matrix_copy(h1), 1)
-        }
-        None => (pool.matrix_zeroed(1, config.dim), 0),
-    };
-    for l in start..graph.layers.len() {
+    let mut h = pool.matrix_zeroed(1, config.dim);
+    for l in 0..graph.layers.len() {
         h = quant_propagate_layer(pool, qp, config, graph, l, &mut scratch, h);
     }
-    let mut out = pool.matrix_raw(h.rows(), 1);
-    h.matmul_into(&qp.final_w, &mut out);
-    let logits = out.data().to_vec();
-    pool.release_matrix(h);
-    pool.release_matrix(out);
-    logits
+    readout(pool, h, &qp.final_w)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{infer_first_layer, infer_node_logits_pooled, infer_node_logits_resume};
+    use crate::config::Activation;
+    use crate::infer::infer_node_logits_pooled;
     use crate::model::model_rng;
     use kucnet_datasets::{DatasetProfile, GeneratedDataset};
     use kucnet_graph::UserId;
@@ -372,52 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_resume_is_bitwise_identical_to_full_pass() {
-        for config in [
-            KucNetConfig::default(),
-            KucNetConfig::default().without_attention(),
-            KucNetConfig {
-                activation: Activation::Relu,
-                agg_norm: AggregationNorm::MeanIn,
-                ..KucNetConfig::default()
-            },
-            KucNetConfig {
-                activation: Activation::Identity,
-                agg_norm: AggregationNorm::RandomWalk,
-                ..KucNetConfig::default()
-            },
-        ] {
-            let (store, params, ckg) = setup(&config);
-            let mut pool = MatrixPool::new();
-            for u in 0..4u32 {
-                let graph = user_graph(&ckg, &config, u);
-                let full = infer_node_logits_pooled(&mut pool, &store, &params, &config, &graph);
-                let h1 = infer_first_layer(&mut pool, &store, &params, &config, &graph);
-                let resumed =
-                    infer_node_logits_resume(&mut pool, &store, &params, &config, &graph, &h1);
-                assert_eq!(full, resumed, "resume diverged (user {u}, {config:?})");
-                pool.release_matrix(h1);
-            }
-        }
-    }
-
-    #[test]
-    fn quant_resume_is_bitwise_identical_to_full_quant_pass() {
-        let config = KucNetConfig::default();
-        let (store, params, ckg) = setup(&config);
-        let qp = QuantizedParams::build(&store, &params, &config);
-        let mut pool = MatrixPool::new();
-        for u in 0..4u32 {
-            let graph = user_graph(&ckg, &config, u);
-            let full = infer_node_logits_quant(&mut pool, &qp, &config, &graph, None);
-            let h1 = quant_first_layer(&mut pool, &qp, &config, &graph);
-            let resumed = infer_node_logits_quant(&mut pool, &qp, &config, &graph, Some(&h1));
-            assert_eq!(full, resumed, "quant resume diverged (user {u})");
-            pool.release_matrix(h1);
-        }
-    }
-
-    #[test]
     fn quant_logits_track_f32_logits() {
         for config in [
             KucNetConfig::default(),
@@ -435,7 +286,7 @@ mod tests {
             for u in 0..6u32 {
                 let graph = user_graph(&ckg, &config, u);
                 let exact = infer_node_logits_pooled(&mut pool, &store, &params, &config, &graph);
-                let quant = infer_node_logits_quant(&mut pool, &qp, &config, &graph, None);
+                let quant = infer_node_logits_quant(&mut pool, &qp, &config, &graph);
                 assert_eq!(exact.len(), quant.len());
                 if exact.len() >= 10 {
                     worst = worst.min(overlap_at(&exact, &quant, 10));
@@ -463,13 +314,5 @@ mod tests {
         let b_bits: Vec<u32> = before.iter().map(|x| x.to_bits()).collect();
         let a_bits: Vec<u32> = after.iter().map(|x| x.to_bits()).collect();
         assert_eq!(b_bits, a_bits, "building the i8 companion perturbed the f32 path");
-    }
-
-    #[test]
-    fn user_state_reports_precision_and_bytes() {
-        let s = UserState::new(true, Matrix::zeros(3, 8));
-        assert!(s.quantized());
-        assert_eq!(s.h1().shape(), (3, 8));
-        assert_eq!(s.approx_bytes(), 3 * 8 * 4);
     }
 }

@@ -16,21 +16,14 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
-use kucnet_graph::{
-    build_layered_graph, KeepAll, Layer, LayeredGraph, LayeringOptions, NodeId, Segment,
-    SegmentLayout, ShardedCkg, UserId,
-};
-use kucnet_ppr::{sparse_ppr, PprConfig, PprTopK, RandomK};
-use kucnet_tensor::{MatrixPool, ParamStore, PoolStash};
+use kucnet_graph::{Layer, LayeredGraph, NodeId, Segment, SegmentLayout, ShardedCkg, UserId};
+use kucnet_ppr::{sparse_ppr, PprConfig};
+use kucnet_tensor::MatrixPool;
 
 use crate::config::{KucNetConfig, SelectorKind};
-use crate::infer::{
-    infer_first_layer, infer_node_logits_pooled, infer_node_logits_resume, ScoreService,
-};
-use crate::model::{model_rng, KucNetParams};
-use crate::quant::{infer_node_logits_quant, quant_first_layer, QuantizedParams, UserState};
+use crate::frozen::{build_user_graph, FrozenModel};
+use crate::infer::ScoreService;
+use crate::model::model_rng;
 
 /// How many sparse PPR entries a lazy per-request computation keeps. Must
 /// equal the literal the eager [`kucnet_ppr::PprCache`] path in
@@ -40,16 +33,10 @@ const PPR_KEEP: usize = 4096;
 
 /// One shard's scoring service over a segmented CKG.
 pub struct ShardService {
-    config: KucNetConfig,
-    layout: SegmentLayout,
+    model: FrozenModel,
     segments: Vec<Arc<Segment>>,
     /// `(user id, index into segments)`, sorted by user id.
     user_index: Vec<(u32, u32)>,
-    store: ParamStore,
-    params: KucNetParams,
-    infer_pools: PoolStash,
-    /// Lazily-built i8 companion of the shared f32 weights (DESIGN.md §16).
-    quant: RwLock<Option<Arc<QuantizedParams>>>,
     shard: usize,
 }
 
@@ -81,9 +68,7 @@ impl ShardService {
         shard: usize,
     ) -> Self {
         let mut rng = model_rng(&config);
-        let mut store = ParamStore::new();
-        let n_relations_total = 2 * n_base_relations as usize + 1;
-        let params = KucNetParams::init(&mut store, &config, n_relations_total, &mut rng);
+        let model = FrozenModel::init(config, layout, n_base_relations, &mut rng);
         let mut user_index: Vec<(u32, u32)> = Vec::new();
         for (idx, seg) in segments.iter().enumerate() {
             let idx = kucnet_graph::index_u32(idx, "segment index");
@@ -92,17 +77,7 @@ impl ShardService {
             }
         }
         user_index.sort_unstable();
-        Self {
-            config,
-            layout,
-            segments,
-            user_index,
-            store,
-            params,
-            infer_pools: PoolStash::new(),
-            quant: RwLock::new(None),
-            shard,
-        }
+        Self { model, segments, user_index, shard }
     }
 
     /// The shard index this service was built for.
@@ -112,12 +87,12 @@ impl ShardService {
 
     /// The hyper-parameters the shard scores with.
     pub fn config(&self) -> &KucNetConfig {
-        &self.config
+        self.model.config()
     }
 
     /// The global node layout shared by every shard of the graph.
     pub fn layout(&self) -> SegmentLayout {
-        self.layout
+        self.model.layout()
     }
 
     /// Number of users this shard holds a segment for.
@@ -141,97 +116,57 @@ impl ShardService {
     /// accepts (the depth assertions hold) and that scores every item 0 —
     /// the deterministic answer for a user this shard has no segment for.
     fn empty_graph(&self, root: NodeId) -> LayeredGraph {
-        let mut node_lists = Vec::with_capacity(self.config.depth + 1);
+        let depth = self.config().depth;
+        let mut node_lists = Vec::with_capacity(depth + 1);
         node_lists.push(vec![root]);
-        for _ in 0..self.config.depth {
+        for _ in 0..depth {
             node_lists.push(Vec::new());
         }
-        LayeredGraph { root, node_lists, layers: vec![Layer::default(); self.config.depth] }
+        LayeredGraph { root, node_lists, layers: vec![Layer::default(); depth] }
     }
 
     /// Builds the user's pruned computation graph against their segment.
     ///
-    /// Mirrors [`crate::KucNet::build_graph`] selector-for-selector; the
-    /// segment view replays global ids in parent edge order, so the result
-    /// is byte-identical to the unsharded build for segment-local users.
+    /// Runs the same [`build_user_graph`] as [`crate::KucNet::build_graph`];
+    /// the segment view replays global ids in parent edge order, so the
+    /// result is byte-identical to the unsharded build for segment-local
+    /// users.
     pub fn build_graph(&self, user: UserId) -> LayeredGraph {
         let root = NodeId(user.0);
-        let seg = match self.segment_of(user) {
-            Some(seg) => seg,
-            None => return self.empty_graph(root),
+        // The user index only lists segment members, so both lookups succeed
+        // for every user this shard pins; anyone else scores an empty graph.
+        let found = self.segment_of(user).and_then(|seg| Some((seg, seg.local_of(root)?)));
+        let Some((seg, local_root)) = found else {
+            return self.empty_graph(root);
         };
-        let view = seg.view(self.layout.n_nodes());
-        let opts = LayeringOptions::new(self.config.depth);
-        match self.config.selector {
-            SelectorKind::PprTopK => {
-                let local_root = match seg.local_of(root) {
-                    Some(l) => l,
-                    // Unreachable: the user index only lists segment members.
-                    None => return self.empty_graph(root),
-                };
-                let local =
-                    sparse_ppr(seg.csr(), NodeId(local_root), &PprConfig::default(), PPR_KEEP);
-                // Lift entries local→global. The mapping is monotone, so the
-                // slice stays sorted by node id as `PprTopK` requires, and
-                // the score sequence is untouched.
-                let entries: Vec<(u32, f32)> =
-                    local.iter().map(|&(n, s)| (seg.nodes()[n as usize], s)).collect();
-                let mut sel = PprTopK::from_entries(&entries, self.config.k);
-                build_layered_graph(&view, root, &opts, &mut sel)
-            }
-            SelectorKind::RandomK => {
-                let seed = self
-                    .config
-                    .seed
-                    .wrapping_add((user.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut sel = RandomK::new(self.config.k, seed);
-                build_layered_graph(&view, root, &opts, &mut sel)
-            }
-            SelectorKind::KeepAll => build_layered_graph(&view, root, &opts, &mut KeepAll),
-        }
-    }
-
-    /// The current quantized companion, built on first use (same lazy
-    /// publish-once protocol as [`crate::KucNet`]).
-    fn quantized_params(&self) -> Arc<QuantizedParams> {
-        if let Some(qp) = self.quant.read().as_ref() {
-            return Arc::clone(qp);
-        }
-        let built = Arc::new(QuantizedParams::build(&self.store, &self.params, &self.config));
-        let mut slot = self.quant.write();
-        if let Some(qp) = slot.as_ref() {
-            return Arc::clone(qp);
-        }
-        *slot = Some(Arc::clone(&built));
-        built
-    }
-
-    /// Maps final-layer node logits to dense per-item scores using the
-    /// global layout (items absent from the final layer score 0).
-    fn logits_to_item_scores(&self, graph: &LayeredGraph, logits: &[f32]) -> Vec<f32> {
-        let mut item_scores = vec![0.0f32; self.layout.n_items as usize];
-        if let Some(last) = graph.node_lists.last() {
-            for (pos, &node) in last.iter().enumerate() {
-                if let Some(item) = self.layout.item_index(node) {
-                    item_scores[item as usize] = logits[pos];
-                }
-            }
-        }
-        item_scores
+        let config = self.config();
+        let entries: Vec<(u32, f32)> = if config.selector == SelectorKind::PprTopK {
+            // Lift entries local→global. The mapping is monotone, so the
+            // slice stays sorted by node id as `PprTopK` requires, and the
+            // score sequence is untouched.
+            sparse_ppr(seg.csr(), NodeId(local_root), &PprConfig::default(), PPR_KEEP)
+                .iter()
+                .map(|&(n, s)| (seg.nodes()[n as usize], s))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let view = seg.view(self.layout().n_nodes());
+        build_user_graph(&view, user, config, &entries, Vec::new())
     }
 }
 
 impl ScoreService for ShardService {
     fn name(&self) -> String {
-        format!("sharded-{}", self.config.variant_name())
+        format!("sharded-{}", self.config().variant_name())
     }
 
     fn n_users(&self) -> usize {
-        self.layout.n_users as usize
+        self.layout().n_users as usize
     }
 
     fn n_items(&self) -> usize {
-        self.layout.n_items as usize
+        self.layout().n_items as usize
     }
 
     fn build_user_graph(&self, user: UserId) -> Arc<LayeredGraph> {
@@ -239,69 +174,20 @@ impl ScoreService for ShardService {
     }
 
     fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-        let mut pool = self.infer_pools.checkout();
-        self.score_graph_pooled(&mut pool, graph)
+        self.model.score_graph(graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
-        self.logits_to_item_scores(graph, &logits)
-    }
-
-    fn supports_quantized(&self) -> bool {
-        true
-    }
-
-    fn prepare_quantized(&self) -> bool {
-        let _ = self.quantized_params();
-        true
-    }
-
-    fn score_graph_quant_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let qp = self.quantized_params();
-        let logits = infer_node_logits_quant(pool, &qp, &self.config, graph, None);
-        self.logits_to_item_scores(graph, &logits)
-    }
-
-    fn build_user_state(
+    fn score_graph_pooled(
         &self,
         pool: &mut MatrixPool,
         graph: &LayeredGraph,
         quantized: bool,
-    ) -> Option<Arc<UserState>> {
-        // Edge-free graphs (unknown users) have nothing worth precomputing.
-        if graph.layers.is_empty() || graph.node_lists.len() < 2 || graph.node_lists[1].is_empty() {
-            return None;
-        }
-        let h1 = if quantized {
-            let qp = self.quantized_params();
-            quant_first_layer(pool, &qp, &self.config, graph)
-        } else {
-            infer_first_layer(pool, &self.store, &self.params, &self.config, graph)
-        };
-        Some(Arc::new(UserState::new(quantized, h1)))
+    ) -> Vec<f32> {
+        self.model.score_graph_pooled(pool, graph, quantized)
     }
 
-    fn score_graph_from_state(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        state: &UserState,
-    ) -> Vec<f32> {
-        let logits = if state.quantized() {
-            let qp = self.quantized_params();
-            infer_node_logits_quant(pool, &qp, &self.config, graph, Some(state.h1()))
-        } else {
-            infer_node_logits_resume(
-                pool,
-                &self.store,
-                &self.params,
-                &self.config,
-                graph,
-                state.h1(),
-            )
-        };
-        self.logits_to_item_scores(graph, &logits)
+    fn prepare_quantized(&self) -> bool {
+        self.model.prepare_quantized()
     }
 }
 
@@ -349,25 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_state_path_matches_cold_path() {
-        let (model, sharded, config) = small_sharded(SelectorKind::PprTopK);
-        let svc = ShardService::for_shard(config, &sharded, 0);
-        let mut pool = MatrixPool::default();
-        for u in 0..model.n_users() {
-            let user = UserId(kucnet_graph::index_u32(u, "user id"));
-            if shard_of(user.0, sharded.n_shards()) != 0 {
-                continue;
-            }
-            let graph = svc.build_user_graph(user);
-            let cold = svc.score_graph_pooled(&mut pool, &graph);
-            if let Some(state) = svc.build_user_state(&mut pool, &graph, false) {
-                let warm = svc.score_graph_from_state(&mut pool, &graph, &state);
-                assert_eq!(cold, warm, "warm path diverged for user {u}");
-            }
-        }
-    }
-
-    #[test]
     fn quantized_path_is_finite_and_dense() {
         let (_, sharded, config) = small_sharded(SelectorKind::PprTopK);
         let svc = ShardService::for_shard(config, &sharded, 1);
@@ -375,7 +242,7 @@ mod tests {
         let mut pool = MatrixPool::default();
         let user = svc.user_index.first().map(|&(u, _)| UserId(u)).unwrap();
         let graph = svc.build_user_graph(user);
-        let scores = svc.score_graph_quant_pooled(&mut pool, &graph);
+        let scores = svc.score_graph_pooled(&mut pool, &graph, true);
         assert_eq!(scores.len(), svc.n_items());
         assert!(scores.iter().all(|s| s.is_finite()));
     }

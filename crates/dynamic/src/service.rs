@@ -9,17 +9,17 @@
 //! * [`GraphUpdater`] — the `POST /update` write path, delegating to the
 //!   shared [`DynamicGraph`].
 //!
-//! Subgraph construction mirrors `KucNet::build_graph` exactly — same
-//! layering options, same selector, same per-user RNG seed derivation — but
-//! sources adjacency and PPR entries from the snapshot, so on an unchanged
-//! graph the built subgraphs (and therefore the scores) are bitwise
-//! identical to the static model's.
+//! Subgraphs come from the same `kucnet::build_user_graph` that
+//! `KucNet::build_graph` runs, with adjacency and PPR entries sourced from
+//! the snapshot, so on an unchanged graph the built subgraphs (and
+//! therefore the scores) are bitwise identical to the static model's.
+//! Scoring goes through the model's `FrozenModel`, so the i8 path serves
+//! dynamic graphs too.
 
 use std::sync::Arc;
 
-use kucnet::{explain_on, ExplainOutput, GraphContext, KucNet, ScoreService, SelectorKind};
-use kucnet_graph::{build_layered_graph, ItemId, KeepAll, LayeredGraph, LayeringOptions, UserId};
-use kucnet_ppr::{PprTopK, RandomK};
+use kucnet::{build_user_graph, explain_on, ExplainOutput, GraphContext, KucNet, ScoreService};
+use kucnet_graph::{ItemId, LayeredGraph, UserId};
 use kucnet_serve::{AppendAck, GraphUpdater, RefreshAck, ServeError};
 use kucnet_tensor::MatrixPool;
 
@@ -64,27 +64,10 @@ impl DynamicService {
     }
 }
 
-/// Builds `user`'s pruned computation graph against `snap`, mirroring
-/// `KucNet::build_graph` (selector choice, K, seed derivation) with the
-/// snapshot's adjacency and PPR entries.
+/// Builds `user`'s pruned computation graph against `snap`.
 fn build_on(model: &KucNet, snap: &GraphSnapshot, user: UserId) -> Arc<LayeredGraph> {
-    let config = model.config();
-    let root = model.ckg().user_node(user);
-    let opts = LayeringOptions::new(config.depth);
-    let view = snap.view();
-    let graph = match config.selector {
-        SelectorKind::PprTopK => {
-            let mut sel = PprTopK::from_entries(snap.ppr_entries(user.0), config.k);
-            build_layered_graph(&view, root, &opts, &mut sel)
-        }
-        SelectorKind::RandomK => {
-            let seed =
-                config.seed.wrapping_add((user.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            build_layered_graph(&view, root, &opts, &mut RandomK::new(config.k, seed))
-        }
-        SelectorKind::KeepAll => build_layered_graph(&view, root, &opts, &mut KeepAll),
-    };
-    Arc::new(graph)
+    let entries = snap.ppr_entries(user.0);
+    Arc::new(build_user_graph(&snap.view(), user, model.config(), entries, Vec::new()))
 }
 
 impl ScoreService for DynamicService {
@@ -108,8 +91,17 @@ impl ScoreService for DynamicService {
         self.model.score_graph(graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.model.score_graph_with_pool(pool, graph)
+    fn score_graph_pooled(
+        &self,
+        pool: &mut MatrixPool,
+        graph: &LayeredGraph,
+        quantized: bool,
+    ) -> Vec<f32> {
+        self.model.frozen().score_graph_pooled(pool, graph, quantized)
+    }
+
+    fn prepare_quantized(&self) -> bool {
+        self.model.frozen().prepare_quantized()
     }
 
     fn graph_context(&self) -> Box<dyn GraphContext + '_> {

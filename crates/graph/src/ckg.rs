@@ -10,6 +10,7 @@ use std::collections::HashSet;
 
 use crate::csr::Csr;
 use crate::ids::{EntityId, ItemId, NodeId, NodeKind, RelId, UserId};
+use crate::shard::SegmentLayout;
 use crate::triple::Triple;
 
 /// Immutable CKG with CSR adjacency (reverse edges included).
@@ -43,6 +44,12 @@ impl Ckg {
     /// Number of pure KG entities (items excluded).
     pub fn n_entities(&self) -> usize {
         self.n_entities as usize
+    }
+
+    /// The `users | items | entities` node layout — the same numbering a
+    /// sharded graph's [`SegmentLayout`] describes.
+    pub fn layout(&self) -> SegmentLayout {
+        SegmentLayout { n_users: self.n_users, n_items: self.n_items, n_entities: self.n_entities }
     }
 
     /// Number of base relations including "interact" (relation 0).

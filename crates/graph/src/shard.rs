@@ -405,11 +405,7 @@ impl ShardedCkg {
         for nodes in members {
             segments.push(Arc::new(Segment::from_parent_rows(csr, nodes)?));
         }
-        let layout = SegmentLayout {
-            n_users: index_u32(ckg.n_users(), "user count"),
-            n_items: index_u32(ckg.n_items(), "item count"),
-            n_entities: index_u32(ckg.n_entities(), "entity count"),
-        };
+        let layout = ckg.layout();
         let mut shards: Vec<Vec<Arc<Segment>>> = vec![Vec::new(); n_shards];
         for seg in &segments {
             let mut owned = vec![false; n_shards];

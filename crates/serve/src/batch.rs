@@ -94,14 +94,14 @@ pub struct BatcherStats {
     /// Submissions shed with [`ServeError::Overloaded`] because the queue
     /// was at `max_queue_depth`.
     pub shed_total: u64,
-    /// p50 of the cache-fill stage (subgraph build + `UserState`
-    /// precompute on a miss), in microseconds.
+    /// p50 of the cache-fill stage (subgraph build on a miss), in
+    /// microseconds.
     pub fill_p50_us: u64,
     /// p95 of the cache-fill stage, in microseconds.
     pub fill_p95_us: u64,
     /// p99 of the cache-fill stage, in microseconds.
     pub fill_p99_us: u64,
-    /// p50 of the warm scoring stage (forward pass after the context is
+    /// p50 of the warm scoring stage (forward pass after the subgraph is
     /// resident), in microseconds.
     pub warm_p50_us: u64,
     /// p95 of the warm scoring stage, in microseconds.
@@ -496,18 +496,8 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 let model = &pin.models()[variant];
                 let bctx = &bctxs[variant];
                 let version = CacheVersion::new(model.version(), bctx.user_version(user));
-                let quantized = model.quantized();
-                let service = model.service();
                 let fill_started = Instant::now();
-                let ((graph, state), hit) =
-                    ctx.cache.get_or_insert_context_versioned(user, version, || {
-                        let graph = bctx.build(user);
-                        // Precompute the user's layer-1 propagation at fill
-                        // time, in the precision this pin serves; warm-path
-                        // requests then resume from layer 2.
-                        let state = service.build_user_state(pool, &graph, quantized);
-                        (graph, state)
-                    });
+                let (graph, hit) = ctx.cache.get_or_insert(user, version, || bctx.build(user));
                 if !hit {
                     let fill_micros = fill_started.elapsed().as_micros();
                     // audit: allow(no-lossy-cast) — a latency past u64::MAX µs is unreachable; saturating is the right histogram clamp
@@ -518,16 +508,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 // before reaching this line).
                 ctx.registry.record_cache(variant, hit);
                 let warm_started = Instant::now();
-                let scores = match state {
-                    // The precision check is belt-and-braces: a toggle
-                    // republishes under a new version, so a resident state
-                    // of the wrong precision should never match the stamp.
-                    Some(state) if state.quantized() == quantized => {
-                        service.score_graph_from_state(pool, &graph, &state)
-                    }
-                    _ if quantized => service.score_graph_quant_pooled(pool, &graph),
-                    _ => service.score_graph_pooled(pool, &graph),
-                };
+                let scores = model.service().score_graph_pooled(pool, &graph, model.quantized());
                 // audit: allow(no-lossy-cast) — a latency past u64::MAX µs is unreachable; saturating is the right histogram clamp
                 let micros = u64::try_from(warm_started.elapsed().as_micros()).unwrap_or(u64::MAX);
                 ctx.stage_warm.record(micros);

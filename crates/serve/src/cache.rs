@@ -21,7 +21,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kucnet::UserState;
 use kucnet_graph::{LayeredGraph, UserId};
 use parking_lot::Mutex;
 
@@ -67,18 +66,8 @@ impl CacheVersion {
     }
 }
 
-/// Everything the cache holds for one user: the pruned subgraph plus the
-/// optional precomputed layer-1 propagation ([`UserState`]) built alongside
-/// it. The pair shares one version stamp and one lifecycle.
-pub type UserContext = (Arc<LayeredGraph>, Option<Arc<UserState>>);
-
 struct Entry {
     graph: Arc<LayeredGraph>,
-    /// The user's precomputed layer-1 propagation, when the scoring service
-    /// materializes one at fill time. Rides the same stamp as the subgraph:
-    /// both are dropped together on any version flip, so a warm resume can
-    /// never mix an old `h¹` with a new model generation or graph epoch.
-    state: Option<Arc<UserState>>,
     /// Stamp the subgraph was built under. Static single-model services
     /// always pass the default (0, 0); registries stamp the pinned model
     /// version and dynamic services the user's graph version, either of
@@ -113,8 +102,7 @@ pub struct SubgraphCache {
 /// panic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Total lookups ([`SubgraphCache::get`] calls plus
-    /// [`SubgraphCache::get_or_insert_with`] calls).
+    /// Total lookups ([`SubgraphCache::get_or_insert`] calls).
     pub lookups: u64,
     /// Lookups served from a resident entry (including lost build races,
     /// which are served from the winner's entry).
@@ -173,12 +161,12 @@ impl SubgraphCache {
     /// LRU-touches and returns the resident entry for `user` (graph handle
     /// plus the version it was built at), if any. Counts nothing — callers
     /// decide what the probe means.
-    fn probe(inner: &mut Inner, user: UserId) -> Option<(UserContext, CacheVersion)> {
+    fn probe(inner: &mut Inner, user: UserId) -> Option<(Arc<LayeredGraph>, CacheVersion)> {
         inner.tick = inner.tick.saturating_add(1);
         let tick = inner.tick;
         inner.map.get_mut(&user.0).map(|entry| {
             entry.last_used = tick;
-            ((Arc::clone(&entry.graph), entry.state.clone()), entry.version)
+            (Arc::clone(&entry.graph), entry.version)
         })
     }
 
@@ -194,39 +182,6 @@ impl SubgraphCache {
         }
     }
 
-    /// Looks up the subgraph of `user`, counting a hit or miss. Version
-    /// agnostic: returns whatever is resident.
-    pub fn get(&self, user: UserId) -> Option<Arc<LayeredGraph>> {
-        saturating_inc(&self.lookups);
-        let mut inner = self.inner.lock();
-        match Self::probe(&mut inner, user) {
-            Some(((graph, _), _)) => {
-                saturating_inc(&self.hits);
-                Some(graph)
-            }
-            None => {
-                saturating_inc(&self.misses);
-                None
-            }
-        }
-    }
-
-    /// Inserts (or refreshes) the subgraph of `user` at the default stamp
-    /// (model 0, graph 0), evicting the least recently used entry if the
-    /// cache is over capacity.
-    pub fn insert(&self, user: UserId, graph: Arc<LayeredGraph>) {
-        self.insert_versioned(user, CacheVersion::default(), graph);
-    }
-
-    /// Inserts (or refreshes) the subgraph of `user` stamped with `version`.
-    pub fn insert_versioned(&self, user: UserId, version: CacheVersion, graph: Arc<LayeredGraph>) {
-        let mut inner = self.inner.lock();
-        inner.tick = inner.tick.saturating_add(1);
-        let tick = inner.tick;
-        inner.map.insert(user.0, Entry { graph, state: None, version, last_used: tick });
-        self.evict_over_capacity(&mut inner);
-    }
-
     /// Drops the resident entry of `user`, if any, counting an invalidation
     /// when something was actually dropped. Called eagerly after a refresh
     /// tick for users whose subgraph changed; not a lookup, so the
@@ -239,91 +194,39 @@ impl SubgraphCache {
         removed
     }
 
-    /// Returns the cached subgraph of `user`, building and inserting it via
-    /// `build` on a miss. The build runs outside the cache lock so slow
-    /// pruning never blocks hits for other users; if two threads race on
-    /// the same cold user, the first inserted graph wins and both get the
-    /// same handle.
+    /// Returns the subgraph of `user` stamped `version`, building and
+    /// inserting it via `build` on a miss, plus whether the lookup resolved
+    /// as a hit. The build runs outside the cache lock so slow pruning
+    /// never blocks hits for other users; if two threads race on the same
+    /// cold user, the first inserted graph wins and both get its handle.
     ///
-    /// Counter semantics (one count per call, so `hits + misses ==
-    /// lookups` always holds):
+    /// A resident entry only counts as a hit when its stamp equals
+    /// `version` (both the model and graph components). Counter semantics,
+    /// one count per call so `hits + misses == lookups` always holds:
     ///
-    /// - resident on first probe → **hit**;
+    /// - resident at `version` on first probe → **hit**;
     /// - built and inserted → **miss**;
-    /// - lost race (another thread inserted while this one built; the
-    ///   discarded build is not separately counted) → **hit**, and the
-    ///   *resident* handle is returned so racers agree on the graph;
+    /// - resident at another stamp → dropped under the lock, counting an
+    ///   **invalidation**, then rebuilt as a **miss** that also counts as
+    ///   **patched** (a lazy in-place version upgrade);
+    /// - lost race (another thread inserted at `version` while this one
+    ///   built; the discarded build is not separately counted) → **hit**,
+    ///   returning the *resident* handle so racers agree on the graph;
     /// - `build` panicked → **miss**, then the panic is re-raised.
-    pub fn get_or_insert_with(
-        &self,
-        user: UserId,
-        build: impl FnOnce() -> Arc<LayeredGraph>,
-    ) -> Arc<LayeredGraph> {
-        self.get_or_insert_versioned(user, CacheVersion::default(), build)
-    }
-
-    /// Version-aware variant of [`get_or_insert_with`]: a resident entry
-    /// only counts as a hit when its stamp equals `version` (both the model
-    /// and graph components). A stale entry (any other stamp) is dropped
-    /// under the lock — counting an **invalidation** — and the lookup
-    /// proceeds as a miss; when the rebuild lands it additionally counts as
-    /// **patched** (a lazy in-place version upgrade). Every call still
-    /// resolves as exactly one hit or one miss, so `hits + misses ==
-    /// lookups` holds under concurrent invalidation and racing version
-    /// bumps.
-    ///
-    /// [`get_or_insert_with`]: SubgraphCache::get_or_insert_with
-    pub fn get_or_insert_versioned(
-        &self,
-        user: UserId,
-        version: CacheVersion,
-        build: impl FnOnce() -> Arc<LayeredGraph>,
-    ) -> Arc<LayeredGraph> {
-        self.get_or_insert_versioned_traced(user, version, build).0
-    }
-
-    /// [`get_or_insert_versioned`] that additionally reports whether the
-    /// lookup resolved as a hit (`true`) or had to build (`false`) — the
-    /// per-variant hit/miss attribution the model registry records. The
-    /// flag mirrors the global counters exactly: lost build races report
-    /// `true` (served from the winner's entry), panicking builds report
-    /// nothing because the panic propagates after the miss is counted.
-    ///
-    /// [`get_or_insert_versioned`]: SubgraphCache::get_or_insert_versioned
-    pub fn get_or_insert_versioned_traced(
+    pub fn get_or_insert(
         &self,
         user: UserId,
         version: CacheVersion,
         build: impl FnOnce() -> Arc<LayeredGraph>,
     ) -> (Arc<LayeredGraph>, bool) {
-        let ((graph, _), hit) =
-            self.get_or_insert_context_versioned(user, version, || (build(), None));
-        (graph, hit)
-    }
-
-    /// The full fill path: like [`get_or_insert_versioned_traced`] but the
-    /// build closure returns the subgraph *plus* an optional precomputed
-    /// [`UserState`], and a hit hands both back. The pair is stored under
-    /// one stamp, so the state can never outlive the subgraph it was
-    /// derived from (or vice versa) across a model swap, precision toggle,
-    /// or dynamic-graph tick. Counter semantics are identical — the state
-    /// is payload, not a separately accounted object.
-    ///
-    /// [`get_or_insert_versioned_traced`]: SubgraphCache::get_or_insert_versioned_traced
-    pub fn get_or_insert_context_versioned(
-        &self,
-        user: UserId,
-        version: CacheVersion,
-        build: impl FnOnce() -> UserContext,
-    ) -> (UserContext, bool) {
         saturating_inc(&self.lookups);
         let mut was_stale = false;
         {
             let mut inner = self.inner.lock();
             match Self::probe(&mut inner, user) {
-                Some((ctx, v)) if v == version => {
+                Some((graph, v)) if v == version => {
                     saturating_inc(&self.hits);
-                    return (ctx, true);
+                    return (graph, true);
                 }
                 Some(_) => {
                     // Stale stamp: drop it now so no other versioned lookup
@@ -335,8 +238,8 @@ impl SubgraphCache {
                 None => {}
             }
         }
-        let (graph, state) = match catch_unwind(AssertUnwindSafe(build)) {
-            Ok(ctx) => ctx,
+        let graph = match catch_unwind(AssertUnwindSafe(build)) {
+            Ok(graph) => graph,
             Err(payload) => {
                 // The lookup still resolves — as a miss — before the fault
                 // propagates, so panicking builds never skew the balance.
@@ -364,12 +267,9 @@ impl SubgraphCache {
         }
         inner.tick = inner.tick.saturating_add(1);
         let tick = inner.tick;
-        inner.map.insert(
-            user.0,
-            Entry { graph: Arc::clone(&graph), state: state.clone(), version, last_used: tick },
-        );
+        inner.map.insert(user.0, Entry { graph: Arc::clone(&graph), version, last_used: tick });
         self.evict_over_capacity(&mut inner);
-        ((graph, state), false)
+        (graph, false)
     }
 
     /// Number of resident entries.
@@ -396,11 +296,7 @@ impl SubgraphCache {
             approx_bytes: inner
                 .map
                 .values()
-                .map(|e| {
-                    e.graph.approx_bytes()
-                        + e.state.as_ref().map_or(0, |s| s.approx_bytes())
-                        + ENTRY_OVERHEAD_BYTES
-                })
+                .map(|e| e.graph.approx_bytes() + ENTRY_OVERHEAD_BYTES)
                 .sum(),
         }
     }
@@ -419,12 +315,17 @@ mod tests {
         })
     }
 
+    /// Looks `user` up at the default stamp, building its tiny graph on a
+    /// miss; returns whether the lookup hit.
+    fn fill(cache: &SubgraphCache, user: u32) -> bool {
+        cache.get_or_insert(UserId(user), CacheVersion::default(), || tiny_graph(user)).1
+    }
+
     #[test]
     fn miss_then_hit_counts() {
         let cache = SubgraphCache::new(4);
-        assert!(cache.get(UserId(1)).is_none());
-        cache.insert(UserId(1), tiny_graph(1));
-        assert!(cache.get(UserId(1)).is_some());
+        assert!(!fill(&cache, 1));
+        assert!(fill(&cache, 1));
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits, stats.misses), (2, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -433,16 +334,15 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let cache = SubgraphCache::new(2);
-        cache.insert(UserId(1), tiny_graph(1));
-        cache.insert(UserId(2), tiny_graph(2));
+        fill(&cache, 1);
+        fill(&cache, 2);
         // Touch user 1 so user 2 becomes the LRU victim.
-        assert!(cache.get(UserId(1)).is_some());
-        cache.insert(UserId(3), tiny_graph(3));
+        assert!(fill(&cache, 1));
+        fill(&cache, 3);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(UserId(2)).is_none(), "LRU entry must be evicted");
-        assert!(cache.get(UserId(1)).is_some());
-        assert!(cache.get(UserId(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
+        assert!(fill(&cache, 1) && fill(&cache, 3), "recently used entries stay resident");
+        assert!(!fill(&cache, 2), "LRU entry must be evicted");
     }
 
     #[test]
@@ -450,7 +350,7 @@ mod tests {
         let cache = SubgraphCache::new(4);
         let mut builds = 0usize;
         for _ in 0..3 {
-            let g = cache.get_or_insert_with(UserId(7), || {
+            let (g, _) = cache.get_or_insert(UserId(7), CacheVersion::default(), || {
                 builds += 1;
                 tiny_graph(7)
             });
@@ -466,67 +366,70 @@ mod tests {
         // Regression: the loser of a build race used to count a miss for
         // its discarded build and no hit for the resident handle it was
         // actually served, skewing hit_rate downward under concurrency.
-        // The race is simulated by a build that inserts the "winner's"
-        // entry re-entrantly before returning the loser's build.
+        // The race is simulated by a build that runs the "winner's" lookup
+        // re-entrantly before returning the loser's build.
         let cache = SubgraphCache::new(4);
-        let got = cache.get_or_insert_with(UserId(7), || {
-            cache.insert(UserId(7), tiny_graph(42)); // another thread wins
+        let v = CacheVersion::default();
+        let (got, hit) = cache.get_or_insert(UserId(7), v, || {
+            cache.get_or_insert(UserId(7), v, || tiny_graph(42)); // another thread wins
             tiny_graph(7) // the loser's build, to be discarded
         });
         assert_eq!(got.root, NodeId(42), "racers must agree on the resident graph");
+        assert!(hit, "the loser is served from the resident entry");
         let stats = cache.stats();
         assert_eq!(
             (stats.lookups, stats.hits, stats.misses),
-            (1, 1, 0),
-            "a lost race is one lookup served from cache: {stats:?}"
+            (2, 1, 1),
+            "the winner's build is one miss, the lost race one hit: {stats:?}"
         );
     }
 
     #[test]
     fn counters_balance_under_builds_races_and_panics() {
         let cache = SubgraphCache::new(4);
+        let v = CacheVersion::default();
         // 1: plain miss (builds and inserts).
-        cache.get_or_insert_with(UserId(1), || tiny_graph(1));
+        fill(&cache, 1);
         // 2: plain hit.
-        cache.get_or_insert_with(UserId(1), || unreachable!("resident"));
-        // 3: lost race → hit.
-        cache.get_or_insert_with(UserId(2), || {
-            cache.insert(UserId(2), tiny_graph(2));
+        cache.get_or_insert(UserId(1), v, || unreachable!("resident"));
+        // 3: lost race → the winner's miss plus the loser's hit.
+        cache.get_or_insert(UserId(2), v, || {
+            fill(&cache, 2);
             tiny_graph(2)
         });
         // 4: panicking build → miss, and the panic propagates.
         let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_insert_with(UserId(3), || panic!("boom"))
+            cache.get_or_insert(UserId(3), v, || panic!("boom"))
         }));
         assert!(panicked.is_err(), "build panic must propagate");
-        // 5: get miss, 6: get hit.
-        assert!(cache.get(UserId(9)).is_none());
-        assert!(cache.get(UserId(1)).is_some());
+        // 5: another miss, 6: another hit.
+        assert!(!fill(&cache, 9));
+        assert!(fill(&cache, 1));
 
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (3, 3), "{stats:?}");
-        assert_eq!(stats.lookups, 6, "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (3, 4), "{stats:?}");
+        assert_eq!(stats.lookups, 7, "{stats:?}");
         assert_eq!(
             stats.hits + stats.misses,
             stats.lookups,
             "every lookup is exactly one hit or one miss: {stats:?}"
         );
-        assert!(cache.get(UserId(3)).is_none(), "panicked build must leave no entry");
+        assert!(!fill(&cache, 3), "panicked build must leave no entry");
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let cache = SubgraphCache::new(0);
         assert_eq!(cache.capacity(), 1);
-        cache.insert(UserId(1), tiny_graph(1));
-        cache.insert(UserId(2), tiny_graph(2));
+        fill(&cache, 1);
+        fill(&cache, 2);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn stats_report_bytes() {
         let cache = SubgraphCache::new(4);
-        cache.insert(UserId(1), tiny_graph(1));
+        fill(&cache, 1);
         assert!(cache.stats().approx_bytes > 0);
     }
 
@@ -536,9 +439,9 @@ mod tests {
         // cache of tiny graphs under-reported its footprint. Each entry now
         // carries key (u32) + version + last_used (2x u64) overhead.
         let cache = SubgraphCache::new(8);
-        cache.insert(UserId(1), tiny_graph(1));
+        fill(&cache, 1);
         let one = cache.stats().approx_bytes;
-        cache.insert(UserId(2), tiny_graph(2));
+        fill(&cache, 2);
         let two = cache.stats().approx_bytes;
         let per_graph = tiny_graph(1).approx_bytes();
         assert_eq!(one, per_graph + ENTRY_OVERHEAD_BYTES);
@@ -551,13 +454,13 @@ mod tests {
         let cache = SubgraphCache::new(4);
         let v = |graph: u64| CacheVersion::new(0, graph);
         // Build at graph version 1.
-        let g1 = cache.get_or_insert_versioned(UserId(5), v(1), || tiny_graph(1));
+        let (g1, _) = cache.get_or_insert(UserId(5), v(1), || tiny_graph(1));
         assert_eq!(g1.root, NodeId(1));
         // Same version: hit, no rebuild.
-        let again = cache.get_or_insert_versioned(UserId(5), v(1), || unreachable!("resident"));
+        let (again, _) = cache.get_or_insert(UserId(5), v(1), || unreachable!("resident"));
         assert_eq!(again.root, NodeId(1));
         // Version bumped: stale entry dropped and rebuilt.
-        let g2 = cache.get_or_insert_versioned(UserId(5), v(2), || tiny_graph(2));
+        let (g2, _) = cache.get_or_insert(UserId(5), v(2), || tiny_graph(2));
         assert_eq!(g2.root, NodeId(2));
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits, stats.misses), (3, 1, 2), "{stats:?}");
@@ -571,28 +474,15 @@ mod tests {
         // served under model 2 even on an unchanged graph epoch, and vice
         // versa.
         let cache = SubgraphCache::new(4);
-        let (g, hit) =
-            cache.get_or_insert_versioned_traced(UserId(4), CacheVersion::new(1, 0), || {
-                tiny_graph(1)
-            });
+        let (g, hit) = cache.get_or_insert(UserId(4), CacheVersion::new(1, 0), || tiny_graph(1));
         assert_eq!((g.root, hit), (NodeId(1), false), "cold build is a miss");
-        let (_, hit) = cache.get_or_insert_versioned_traced(
-            UserId(4),
-            CacheVersion::new(1, 0),
-            || unreachable!(),
-        );
+        let (_, hit) = cache.get_or_insert(UserId(4), CacheVersion::new(1, 0), || unreachable!());
         assert!(hit, "matching (model, graph) stamp is a hit");
         // Model swap, same graph epoch: stale.
-        let (g, hit) =
-            cache.get_or_insert_versioned_traced(UserId(4), CacheVersion::new(2, 0), || {
-                tiny_graph(2)
-            });
+        let (g, hit) = cache.get_or_insert(UserId(4), CacheVersion::new(2, 0), || tiny_graph(2));
         assert_eq!((g.root, hit), (NodeId(2), false));
         // Graph refresh, same model: stale again.
-        let (g, hit) =
-            cache.get_or_insert_versioned_traced(UserId(4), CacheVersion::new(2, 1), || {
-                tiny_graph(3)
-            });
+        let (g, hit) = cache.get_or_insert(UserId(4), CacheVersion::new(2, 1), || tiny_graph(3));
         assert_eq!((g.root, hit), (NodeId(3), false));
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits, stats.misses), (4, 1, 3), "{stats:?}");
@@ -600,64 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn user_state_rides_the_entry_and_its_version_stamp() {
-        let state = |q: bool| Arc::new(UserState::new(q, kucnet_tensor::Matrix::zeros(1, 4)));
-        let cache = SubgraphCache::new(4);
-        let v1 = CacheVersion::new(1, 0);
-        // Fill with a quantized state attached.
-        let ((_, st), hit) = cache
-            .get_or_insert_context_versioned(UserId(6), v1, || (tiny_graph(6), Some(state(true))));
-        assert!(!hit);
-        assert!(st.expect("state stored at fill").quantized());
-        // A hit hands the same state back without rebuilding.
-        let ((_, st), hit) =
-            cache.get_or_insert_context_versioned(UserId(6), v1, || unreachable!("resident"));
-        assert!(hit);
-        assert!(st.expect("state survives a hit").quantized());
-        // A version flip (e.g. precision toggle republish) drops graph and
-        // state together; the rebuild may attach a different-precision state.
-        let v2 = CacheVersion::new(2, 0);
-        let ((_, st), hit) = cache
-            .get_or_insert_context_versioned(UserId(6), v2, || (tiny_graph(6), Some(state(false))));
-        assert!(!hit);
-        assert!(!st.expect("rebuilt state").quantized());
-        // The graph-only path leaves the state slot empty.
-        let (g, _) = cache.get_or_insert_versioned_traced(UserId(7), v2, || tiny_graph(7));
-        assert_eq!(g.root, NodeId(7));
-        let ((_, st), hit) =
-            cache.get_or_insert_context_versioned(UserId(7), v2, || unreachable!("resident"));
-        assert!(hit);
-        assert!(st.is_none(), "graph-only fills carry no state");
-    }
-
-    #[test]
-    fn approx_bytes_counts_attached_state() {
-        let cache = SubgraphCache::new(4);
-        let v = CacheVersion::default();
-        cache.get_or_insert_context_versioned(UserId(1), v, || (tiny_graph(1), None));
-        let without = cache.stats().approx_bytes;
-        let h1 = kucnet_tensor::Matrix::zeros(3, 8);
-        cache.get_or_insert_context_versioned(UserId(2), v, || {
-            (tiny_graph(2), Some(Arc::new(UserState::new(false, h1))))
-        });
-        let with = cache.stats().approx_bytes;
-        assert_eq!(
-            with - without,
-            tiny_graph(2).approx_bytes() + ENTRY_OVERHEAD_BYTES + 3 * 8 * 4,
-            "an attached state adds its h1 payload bytes"
-        );
-    }
-
-    #[test]
     fn eager_invalidation_counts_only_when_resident() {
         let cache = SubgraphCache::new(4);
         assert!(!cache.invalidate_user(UserId(3)), "nothing resident yet");
-        cache.insert(UserId(3), tiny_graph(3));
+        fill(&cache, 3);
         assert!(cache.invalidate_user(UserId(3)));
         assert!(!cache.invalidate_user(UserId(3)), "already dropped");
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 1, "{stats:?}");
-        assert_eq!(stats.lookups, 0, "invalidation is not a lookup: {stats:?}");
+        assert_eq!(stats.lookups, 1, "invalidation is not a lookup: {stats:?}");
     }
 
     #[test]
@@ -672,7 +513,7 @@ mod tests {
                 for i in 0..200u64 {
                     let user = UserId((i % 8) as u32);
                     let version = CacheVersion::new((t + i) % 2, (t + i) % 3);
-                    let g = c.get_or_insert_versioned(user, version, || tiny_graph(user.0));
+                    let (g, _) = c.get_or_insert(user, version, || tiny_graph(user.0));
                     assert_eq!(g.root, NodeId(user.0));
                     if i % 7 == 0 {
                         c.invalidate_user(user);

@@ -23,9 +23,15 @@
 //! which is what makes A/B bucketing reproducible and testable.
 //!
 //! **Lock discipline**: the registry owns exactly one lock kind (the
-//! per-variant slot `RwLock`), acquires at most one at a time, and never
-//! calls into graph or cache code while holding it. A reload therefore
-//! cannot interact with `kucnet-dynamic`'s tick mutex — see DESIGN.md §15.
+//! per-variant slot `RwLock`). Every update of a slot is one
+//! read-modify-write under its write lock, with the new version taken
+//! inside the lock, so concurrent reloads and precision toggles never lose
+//! each other's changes and versions publish in order. Several slots are
+//! only ever locked together by [`ModelRegistry::set_quantized_many`], in
+//! ascending variant order. No graph, cache, or scoring code runs under a
+//! slot lock — the one slow step, `prepare_quantized`, runs before it — so
+//! a reload cannot interact with `kucnet-dynamic`'s tick mutex (DESIGN.md
+//! §15).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,6 +50,9 @@ pub struct PinnedModel {
     name: Arc<str>,
     version: u64,
     quantized: bool,
+    /// What `prepare_quantized` reported when `service` was published:
+    /// whether it has an i8 path a toggle may switch to.
+    quantizable: bool,
     service: Arc<dyn ScoreService>,
 }
 
@@ -65,8 +74,8 @@ impl PinnedModel {
 
     /// Whether this generation serves the quantized (i8) scoring path.
     /// Stamped into the pin — never mutated — so a precision toggle is a
-    /// republish under a **new version**, and every cache entry (subgraph
-    /// and `UserState` alike) keyed by the old version goes stale with it.
+    /// republish under a **new version**, and every cached subgraph keyed
+    /// by the old version goes stale with it.
     pub fn quantized(&self) -> bool {
         self.quantized
     }
@@ -152,18 +161,16 @@ impl ModelRegistry {
             self.n_users = service.n_users();
             self.n_items = service.n_items();
         }
-        if service.supports_quantized() {
-            // Quantize the master weights at load time so both precisions are
-            // carried by the pin from the start; serving still begins on f32.
-            service.prepare_quantized();
-        }
+        // Quantize the master weights at load time so both precisions are
+        // carried by the pin from the start; serving still begins on f32.
+        let quantizable = service.prepare_quantized();
         let variant = self.variants.len();
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
         let pinned = Arc::new(PinnedModel {
             variant,
             name: Arc::from(name),
-            version,
+            version: self.take_version(),
             quantized: false,
+            quantizable,
             service,
         });
         self.variants.push(VariantState {
@@ -176,6 +183,19 @@ impl ModelRegistry {
             latency: LatencyHistogram::new(),
         });
         Ok(())
+    }
+
+    /// The next globally unique model version.
+    fn take_version(&self) -> u64 {
+        self.next_version.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Index of the variant called `name`.
+    fn index_of(&self, name: &str) -> Result<usize, String> {
+        self.variants
+            .iter()
+            .position(|v| v.name == name)
+            .ok_or_else(|| format!("unknown variant `{name}`"))
     }
 
     fn check_dims(&self, service: &Arc<dyn ScoreService>) -> Result<(), String> {
@@ -232,29 +252,31 @@ impl ModelRegistry {
 
     /// Atomically publishes `service` as the new generation of variant
     /// `name` and returns its globally unique version. Dimension-checked
-    /// against the registry's id spaces. The slot write lock is held only
-    /// for the pointer swap — never across any graph, cache, or scoring
-    /// call — so a reload can neither block nor deadlock against in-flight
-    /// batches or a dynamic `refresh_tick`.
+    /// against the registry's id spaces. The variant keeps its precision
+    /// choice across the swap when the new service has an i8 path (one
+    /// without falls back to f32). The incoming weights are quantized
+    /// before the slot write lock is taken, and the lock is held only for
+    /// the read-modify-write of the slot — never across any graph, cache,
+    /// or scoring call — so a reload can neither block nor deadlock against
+    /// in-flight batches or a dynamic `refresh_tick`.
     pub fn reload(&self, name: &str, service: Arc<dyn ScoreService>) -> Result<u64, String> {
-        let variant = self
-            .variants
-            .iter()
-            .position(|v| v.name == name)
-            .ok_or_else(|| format!("unknown variant `{name}`"))?;
+        let variant = self.index_of(name)?;
         self.check_dims(&service)?;
-        // Re-quantize the incoming weights outside any lock, and keep the
-        // variant's precision choice across the swap when the new service can
-        // honor it (a service without a quantized path falls back to f32).
-        let quantized = if service.supports_quantized() {
-            service.prepare_quantized() && self.variants[variant].slot.read().quantized
-        } else {
-            false
+        let quantizable = service.prepare_quantized();
+        #[cfg(test)]
+        tests::before_slot_write();
+        let mut slot = self.variants[variant].slot.write();
+        let pinned = PinnedModel {
+            variant,
+            name: Arc::clone(&slot.name),
+            version: self.take_version(),
+            quantized: quantizable && slot.quantized,
+            quantizable,
+            service,
         };
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let pinned =
-            Arc::new(PinnedModel { variant, name: Arc::from(name), version, quantized, service });
-        *self.variants[variant].slot.write() = pinned;
+        let version = pinned.version;
+        *slot = Arc::new(pinned);
+        drop(slot);
         saturating_inc(&self.swaps_total);
         Ok(version)
     }
@@ -262,60 +284,65 @@ impl ModelRegistry {
     /// Switches variant `name` between the f32 and quantized scoring paths
     /// and returns the version now live. A toggle republishes the *same*
     /// service under a **new global version** (taken from the shared
-    /// counter), so every `CacheVersion{model, graph}`-stamped entry —
-    /// subgraphs and precomputed `UserState`s alike — keyed under the old
-    /// version goes stale and is rebuilt for the new precision. Setting the
+    /// counter), so every `CacheVersion{model, graph}`-stamped subgraph
+    /// keyed under the old version goes stale and is rebuilt. Setting the
     /// flag to its current value is a no-op that returns the live version
     /// unchanged. Not counted in `swaps_total`: the model generation did not
     /// change, only its execution path. Fails for an unknown variant or when
     /// asking for quantized serving from a service without a quantized path.
     pub fn set_quantized(&self, name: &str, on: bool) -> Result<u64, String> {
-        let variant = self
-            .variants
-            .iter()
-            .position(|v| v.name == name)
-            .ok_or_else(|| format!("unknown variant `{name}`"))?;
-        let current = Arc::clone(&self.variants[variant].slot.read());
-        if current.quantized == on {
-            return Ok(current.version);
+        let variant = self.index_of(name)?;
+        #[cfg(test)]
+        tests::before_slot_write();
+        self.republish(&mut self.variants[variant].slot.write(), on)
+    }
+
+    /// The read-modify-write behind a precision toggle, run by a caller
+    /// holding `slot`'s write lock.
+    fn republish(&self, slot: &mut Arc<PinnedModel>, on: bool) -> Result<u64, String> {
+        if slot.quantized == on {
+            return Ok(slot.version);
         }
-        if on && !current.service.supports_quantized() {
-            return Err(format!("variant `{name}` has no quantized scoring path"));
+        if on && !slot.quantizable {
+            return Err(format!("variant `{}` has no quantized scoring path", slot.name));
         }
-        if on {
-            // Idempotent and usually a cached no-op (prepared at load), but a
-            // guard in case the service dropped its tables since.
-            current.service.prepare_quantized();
-        }
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let pinned = Arc::new(PinnedModel {
-            variant: current.variant,
-            name: Arc::clone(&current.name),
+        let version = self.take_version();
+        *slot = Arc::new(PinnedModel {
+            variant: slot.variant,
+            name: Arc::clone(&slot.name),
             version,
             quantized: on,
-            service: Arc::clone(&current.service),
+            quantizable: slot.quantizable,
+            service: Arc::clone(&slot.service),
         });
-        *self.variants[variant].slot.write() = pinned;
         Ok(version)
     }
 
     /// Atomically applies a batch of precision toggles: every name must be a
     /// registered variant and every `on` request must target a service with
     /// a quantized path, or nothing is changed (same all-or-nothing contract
-    /// as [`set_weights`](ModelRegistry::set_weights)).
+    /// as [`set_weights`](ModelRegistry::set_weights)). A name listed twice
+    /// takes its last value. The affected slots are write-locked together,
+    /// in ascending variant order, for both the check and the update.
     pub fn set_quantized_many(&self, pairs: &[(String, bool)]) -> Result<(), String> {
-        for (name, on) in pairs {
-            let variant = self
-                .variants
-                .iter()
-                .position(|v| v.name == *name)
-                .ok_or_else(|| format!("unknown variant `{name}`"))?;
-            if *on && !self.variants[variant].slot.read().service.supports_quantized() {
-                return Err(format!("variant `{name}` has no quantized scoring path"));
+        let mut wanted = pairs
+            .iter()
+            .map(|(name, on)| Ok((self.index_of(name)?, *on)))
+            .collect::<Result<Vec<(usize, bool)>, String>>()?;
+        // The stable sort keeps each variant's requests in reverse order, so
+        // the dedup keeps the last one.
+        wanted.reverse();
+        wanted.sort_by_key(|&(variant, _)| variant);
+        wanted.dedup_by_key(|&mut (variant, _)| variant);
+        let mut slots: Vec<_> =
+            wanted.iter().map(|&(variant, _)| self.variants[variant].slot.write()).collect();
+        for (slot, &(_, on)) in slots.iter().zip(&wanted) {
+            if on && !slot.quantizable {
+                return Err(format!("variant `{}` has no quantized scoring path", slot.name));
             }
         }
-        for (name, on) in pairs {
-            self.set_quantized(name, *on)?;
+        for (slot, &(_, on)) in slots.iter_mut().zip(&wanted) {
+            self.republish(slot, on)?;
         }
         Ok(())
     }
@@ -330,15 +357,10 @@ impl ModelRegistry {
     /// update is applied only after all names validate, so a typo cannot
     /// leave the split half-changed.
     pub fn set_weights(&self, pairs: &[(String, u64)]) -> Result<(), String> {
-        let mut updates = Vec::with_capacity(pairs.len());
-        for (name, weight) in pairs {
-            let idx = self
-                .variants
-                .iter()
-                .position(|v| v.name == *name)
-                .ok_or_else(|| format!("unknown variant `{name}`"))?;
-            updates.push((idx, *weight));
-        }
+        let updates = pairs
+            .iter()
+            .map(|(name, weight)| Ok((self.index_of(name)?, *weight)))
+            .collect::<Result<Vec<(usize, u64)>, String>>()?;
         for (idx, weight) in updates {
             self.variants[idx].weight.store(weight, Ordering::Relaxed);
         }
@@ -492,6 +514,25 @@ pub trait ModelLoader: Send + Sync {
 mod tests {
     use super::*;
     use kucnet_graph::{LayeredGraph, NodeId};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// What the current test wants to happen between an update's start
+        /// and its slot write, on this thread.
+        static RACE: RefCell<Option<Box<dyn FnOnce()>>> = RefCell::new(None);
+    }
+
+    /// The seam `reload` and `set_quantized` pass just before taking the
+    /// slot write lock: runs (once) the interleaving a test armed.
+    pub(super) fn before_slot_write() {
+        if let Some(race) = RACE.with(|r| r.borrow_mut().take()) {
+            race();
+        }
+    }
+
+    fn arm_race(race: impl FnOnce() + 'static) {
+        RACE.with(|r| *r.borrow_mut() = Some(Box::new(race)));
+    }
 
     struct Stub {
         tag: u32,
@@ -555,10 +596,6 @@ mod tests {
 
         fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
             self.inner.score_graph(graph)
-        }
-
-        fn supports_quantized(&self) -> bool {
-            true
         }
 
         fn prepare_quantized(&self) -> bool {
@@ -703,6 +740,45 @@ mod tests {
     }
 
     #[test]
+    fn a_reload_landing_inside_a_toggle_is_not_lost() {
+        // Regression: `set_quantized` read the slot, then published a pin
+        // built from the service it had read, so a reload landing in
+        // between was silently reverted (yet counted in `swaps_total`).
+        let mut r = ModelRegistry::new(0);
+        r.register("a", 100, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
+        let r = Arc::new(r);
+        let racer = Arc::clone(&r);
+        arm_race(move || {
+            racer.reload("a", quant_stub(1) as Arc<dyn ScoreService>).unwrap();
+        });
+        assert_eq!(r.set_quantized("a", true).unwrap(), 3, "the toggle publishes after the reload");
+        let pin = r.pin();
+        let live = &pin.models()[0];
+        assert_eq!(live.service().name(), "stub1", "the racing reload must survive the toggle");
+        assert!(live.quantized(), "the toggle must apply to the reloaded service");
+        assert_eq!((live.version(), r.swaps_total()), (3, 1));
+    }
+
+    #[test]
+    fn a_toggle_landing_inside_a_reload_is_not_lost() {
+        // The mirror race: `reload` read the precision flag, then published,
+        // so a toggle landing in between was reverted.
+        let mut r = ModelRegistry::new(0);
+        r.register("a", 100, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
+        let r = Arc::new(r);
+        let racer = Arc::clone(&r);
+        arm_race(move || {
+            racer.set_quantized("a", true).unwrap();
+        });
+        assert_eq!(r.reload("a", quant_stub(1) as Arc<dyn ScoreService>).unwrap(), 3);
+        let pin = r.pin();
+        let live = &pin.models()[0];
+        assert_eq!(live.service().name(), "stub1");
+        assert!(live.quantized(), "the racing toggle must survive the reload");
+        assert_eq!((live.version(), r.swaps_total()), (3, 1));
+    }
+
+    #[test]
     fn set_quantized_many_is_all_or_nothing() {
         let mut r = ModelRegistry::new(0);
         r.register("a", 50, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
@@ -716,6 +792,9 @@ mod tests {
         );
         r.set_quantized_many(&[("a".to_string(), true), ("b".to_string(), false)]).unwrap();
         assert_eq!(r.quantized_flags(), vec![("a".to_string(), true), ("b".to_string(), false)]);
+        // A name listed twice takes its last value.
+        r.set_quantized_many(&[("a".to_string(), false), ("a".to_string(), true)]).unwrap();
+        assert_eq!(r.quantized_flags()[0], ("a".to_string(), true));
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The quantized rank-parity gate (ISSUE 9, hard gate): on **all four**
-//! paper dataset profiles, the i8 inference path must agree with the f32
-//! path on at least 99% of the served top-N, averaged over a pinned user
-//! sample. Runs on seeded (untrained) models — parity is a property of the
-//! inference kernels, not of training — so the gate is fast enough for
+//! The quantized rank-parity gate (hard gate): on **all four** paper
+//! dataset profiles, the i8 inference path must agree with the f32 path on
+//! at least 99% of the served top-N, averaged over a pinned user sample —
+//! and so must a dynamic graph after appends and a refresh tick. Runs on
+//! seeded (untrained) models — parity is a property of the inference
+//! kernels, not of training — so the gate is fast enough for
 //! `scripts/check.sh` while still covering the paper-profile graph shapes.
 //!
-//! A second test drives the precision knob end-to-end over HTTP: toggling
-//! `POST /admin/ab {"quant.default": 1}` republishes the model under a new
-//! version, serves quantized rankings live, and toggling back yields a
-//! byte-identical f32 response (the master weights are never touched).
+//! The HTTP tests drive the precision knob end-to-end on a static and a
+//! dynamic server: toggling `POST /admin/ab {"quant.default": 1}`
+//! republishes the model under a new version, serves quantized rankings
+//! live, and toggling back yields a byte-identical f32 response (the master
+//! weights are never touched).
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -16,9 +18,10 @@ use std::sync::Arc;
 
 use kucnet::{KucNet, KucNetConfig, ScoreService};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
+use kucnet_dynamic::DynamicService;
 use kucnet_eval::top_n_indices;
 use kucnet_graph::UserId;
-use kucnet_serve::{ServeConfig, Server};
+use kucnet_serve::{ServeConfig, Server, ServerHandle};
 
 /// Overlap size of the ranked prefix the gate compares (the harness
 /// default recommendation depth).
@@ -45,6 +48,32 @@ fn seeded_model(profile: &DatasetProfile) -> KucNet {
     KucNet::new(KucNetConfig::default(), ckg)
 }
 
+/// Asserts the mean f32-vs-i8 top-N overlap of `service` over its first
+/// [`SAMPLE_USERS`] users meets the gate.
+fn assert_rank_parity(name: &str, service: &dyn ScoreService) {
+    assert!(service.prepare_quantized(), "{name}: the service must expose the i8 path");
+    let stash = kucnet_tensor::PoolStash::new();
+    let mut pool = stash.checkout();
+    let users = u32::try_from(service.n_users()).unwrap_or(u32::MAX).min(SAMPLE_USERS);
+    let mut total = 0.0f64;
+    let mut worst = 1.0f64;
+    for u in 0..users {
+        let graph = service.build_user_graph(UserId(u));
+        let f32_scores = service.score_graph_pooled(&mut pool, &graph, false);
+        let quant_scores = service.score_graph_pooled(&mut pool, &graph, true);
+        assert_eq!(f32_scores.len(), quant_scores.len(), "{name}: score spaces differ");
+        let overlap = overlap_at_n(&f32_scores, &quant_scores, TOP_N);
+        total += overlap;
+        worst = worst.min(overlap);
+    }
+    let mean = total / f64::from(users);
+    assert!(
+        mean >= MIN_MEAN_OVERLAP,
+        "{name}: mean top-{TOP_N} overlap {mean:.4} < {MIN_MEAN_OVERLAP} \
+         (worst user {worst:.4}) — the quantized path drifted past the rank-parity gate"
+    );
+}
+
 #[test]
 fn quantized_top_n_overlap_is_at_least_99_percent_on_all_four_profiles() {
     let profiles: [(&str, DatasetProfile); 4] = [
@@ -53,72 +82,23 @@ fn quantized_top_n_overlap_is_at_least_99_percent_on_all_four_profiles() {
         ("ifashion-small", DatasetProfile::ifashion_small()),
         ("disgenet-small", DatasetProfile::disgenet_small()),
     ];
-    let stash = kucnet_tensor::PoolStash::new();
     for (name, profile) in profiles {
-        let model = seeded_model(&profile);
-        assert!(model.supports_quantized(), "KucNet must expose the i8 path");
-        assert!(model.prepare_quantized(), "quantizing the master weights must succeed");
-        let mut pool = stash.checkout();
-        let users = u32::try_from(model.n_users()).unwrap_or(u32::MAX).min(SAMPLE_USERS);
-        let mut total = 0.0f64;
-        let mut worst = 1.0f64;
-        for u in 0..users {
-            let graph = model.build_user_graph(UserId(u));
-            let f32_scores = model.score_graph_pooled(&mut pool, &graph);
-            let quant_scores = model.score_graph_quant_pooled(&mut pool, &graph);
-            assert_eq!(f32_scores.len(), quant_scores.len(), "{name}: score spaces differ");
-            let overlap = overlap_at_n(&f32_scores, &quant_scores, TOP_N);
-            total += overlap;
-            worst = worst.min(overlap);
-        }
-        let mean = total / f64::from(users);
-        assert!(
-            mean >= MIN_MEAN_OVERLAP,
-            "{name}: mean top-{TOP_N} overlap {mean:.4} < {MIN_MEAN_OVERLAP} \
-             (worst user {worst:.4}) — the quantized path drifted past the rank-parity gate"
-        );
+        assert_rank_parity(name, &seeded_model(&profile));
     }
 }
 
 #[test]
-fn warm_state_resume_matches_the_full_pass_in_both_precisions() {
-    // The layer-1 skip must not change rankings: scoring from a cached
-    // `UserState` is bitwise-identical to the full pass in each precision.
-    let model = seeded_model(&DatasetProfile::lastfm_small());
-    assert!(model.prepare_quantized());
-    let stash = kucnet_tensor::PoolStash::new();
-    let mut pool = stash.checkout();
-    for u in 0..16u32 {
-        let graph = model.build_user_graph(UserId(u));
-        for quantized in [false, true] {
-            let full = if quantized {
-                model.score_graph_quant_pooled(&mut pool, &graph)
-            } else {
-                model.score_graph_pooled(&mut pool, &graph)
-            };
-            let Some(state) = model.build_user_state(&mut pool, &graph, quantized) else {
-                continue; // isolated user with no layers: nothing to resume
-            };
-            assert_eq!(state.quantized(), quantized);
-            let resumed = model.score_graph_from_state(&mut pool, &graph, &state);
-            assert_eq!(
-                full.to_bits_vec(),
-                resumed.to_bits_vec(),
-                "user {u} quantized={quantized}: resume drifted from the full pass"
-            );
-        }
+fn quantized_top_n_overlap_holds_on_a_dynamic_graph() {
+    let model = Arc::new(seeded_model(&DatasetProfile::lastfm_small()));
+    let n_items = u32::try_from(model.ckg().n_items()).expect("item ids fit u32");
+    let service = DynamicService::for_model(model, usize::MAX);
+    // Move the graph off its base epoch so the row scores overlay adjacency
+    // and recomputed PPR, not just the static CSR.
+    for u in 0..SAMPLE_USERS {
+        service.graph().append_interaction(u, (u * 7 + 3) % n_items).expect("valid append");
     }
-}
-
-/// Bitwise view of a score vector for exact comparison.
-trait ToBits {
-    fn to_bits_vec(&self) -> Vec<u32>;
-}
-
-impl ToBits for Vec<f32> {
-    fn to_bits_vec(&self) -> Vec<u32> {
-        self.iter().map(|v| v.to_bits()).collect()
-    }
+    assert!(service.graph().refresh_tick().epoch > 0, "the tick must commit a new epoch");
+    assert_rank_parity("lastfm-small+dynamic", &service);
 }
 
 /// A parsed HTTP response: status code and body.
@@ -178,15 +158,25 @@ fn ranked_items(body: &str) -> Vec<u64> {
         .collect()
 }
 
-#[test]
-fn live_precision_toggle_bumps_version_and_restores_f32_bitwise() {
+/// The served ranking of a `/recommend` body — items and scores — as the
+/// raw bytes after `"items":`.
+fn ranking_bytes(body: &str) -> &str {
+    body.split_once("\"items\":").unwrap_or_else(|| panic!("no items in: {body}")).1
+}
+
+/// Trains the tiny model the live-toggle tests serve.
+fn trained_tiny_model() -> KucNet {
     let data = GeneratedDataset::generate(&DatasetProfile::tiny(), 42);
     let ckg = data.build_ckg(&data.interactions);
     let mut model = KucNet::new(KucNetConfig::default().with_epochs(2), ckg);
     model.fit();
-    let service: Arc<dyn ScoreService> = Arc::new(model);
-    let handle =
-        Server::start(service, ServeConfig::default(), "127.0.0.1:0").expect("bind server");
+    model
+}
+
+/// Drives the precision knob over HTTP on a freshly started single-variant
+/// server: f32 at version 1, quantized at version 2, and back to f32 at
+/// version 3 with a byte-identical ranking.
+fn assert_live_precision_roundtrip(handle: ServerHandle) {
     let addr = handle.addr();
     let req = "{\"user\": 1, \"top_k\": 10}";
 
@@ -220,8 +210,8 @@ fn live_precision_toggle_bumps_version_and_restores_f32_bitwise() {
     let back_resp = post(addr, "/recommend", req);
     assert_eq!(json_u64_field(&back_resp.body, "model_version"), 3);
     assert_eq!(
-        ranked_items(&back_resp.body),
-        f32_items,
+        ranking_bytes(&back_resp.body),
+        ranking_bytes(&f32_resp.body),
         "f32 path must be bitwise-unchanged after a quantized excursion"
     );
     let metrics = get(addr, "/metrics").body;
@@ -235,4 +225,21 @@ fn live_precision_toggle_bumps_version_and_restores_f32_bitwise() {
     assert_eq!(resp.status, 400, "{}", resp.body);
 
     handle.shutdown();
+}
+
+#[test]
+fn live_precision_toggle_bumps_version_and_restores_f32_bitwise() {
+    let service: Arc<dyn ScoreService> = Arc::new(trained_tiny_model());
+    let handle =
+        Server::start(service, ServeConfig::default(), "127.0.0.1:0").expect("bind server");
+    assert_live_precision_roundtrip(handle);
+}
+
+#[test]
+fn dynamic_server_accepts_the_precision_toggle_and_restores_f32_bitwise() {
+    let service = Arc::new(DynamicService::for_model(Arc::new(trained_tiny_model()), usize::MAX));
+    let scorer: Arc<dyn ScoreService> = Arc::clone(&service) as Arc<dyn ScoreService>;
+    let handle = Server::start_dynamic(scorer, service, ServeConfig::default(), "127.0.0.1:0")
+        .expect("bind server");
+    assert_live_precision_roundtrip(handle);
 }

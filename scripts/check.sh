@@ -55,7 +55,7 @@ cargo test -q -p kucnet-serve --test explain_parity
 echo "== quantized inference: rank-parity hard gate (>= 99% top-20 overlap, all profiles) =="
 cargo test -q -p kucnet-serve --test quant_parity
 
-echo "== quantized serving bench smoke: f32 vs i8 warm path + overlap =="
+echo "== quantized serving bench smoke: f32 vs i8 full pass + overlap =="
 ./target/release/bench_quant --smoke
 
 echo "== dynamic x swap: explain parity across ticks + reload/tick independence =="
