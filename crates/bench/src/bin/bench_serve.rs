@@ -6,7 +6,7 @@
 //! The paper's efficiency story (§V-G: one propagation scores all items of
 //! a user) is measured offline by `fig6_inference`; this harness measures
 //! the *online* half — what a request actually costs once subgraph caching
-//! and micro-batching sit in front of the model.
+//! and request batching sit in front of the model.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -98,7 +98,7 @@ fn main() {
         cache.misses,
         cache.evictions
     );
-    println!("micro-batching    {} batches, avg size {avg_batch:.2}", batch.batches);
+    println!("batching          {} batches, avg size {avg_batch:.2}", batch.batches);
 
     let json = format!(
         concat!(

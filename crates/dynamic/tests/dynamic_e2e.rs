@@ -104,13 +104,8 @@ fn ckg_with_cold_item() -> Ckg {
 fn onboard_at(batch_threads: usize) -> Vec<Vec<(u32, f32)>> {
     let model = Arc::new(KucNet::new(KucNetConfig::default(), ckg_with_cold_item()));
     let service = Arc::new(DynamicService::for_model(Arc::clone(&model), 64));
-    let config = ServeConfig {
-        cache_capacity: 64,
-        batch_threads,
-        workers: 2,
-        flush_deadline: std::time::Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { cache_capacity: 64, batch_threads, workers: 2, ..ServeConfig::default() };
     let handle = Server::start_dynamic(
         Arc::clone(&service) as Arc<dyn ScoreService>,
         Arc::clone(&service) as Arc<dyn GraphUpdater>,

@@ -167,12 +167,7 @@ fn explain_across_tick_at(batch_threads: usize) -> Vec<String> {
         );
     }
 
-    let config = ServeConfig {
-        batch_threads,
-        workers: 2,
-        flush_deadline: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { batch_threads, workers: 2, ..ServeConfig::default() };
     let handle = Server::start_dynamic(
         Arc::clone(&service) as Arc<dyn ScoreService>,
         Arc::clone(&service) as Arc<dyn GraphUpdater>,
@@ -268,11 +263,7 @@ fn reload_during_a_slow_tick_neither_deadlocks_nor_serves_hybrids() {
     let graph = Arc::clone(service1.graph());
     let service2 = Arc::new(DynamicService::new(Arc::clone(&model2), Arc::clone(&graph)));
 
-    let config = ServeConfig {
-        workers: 2,
-        flush_deadline: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { workers: 2, ..ServeConfig::default() };
     let registry = Arc::new(ModelRegistry::single(
         Arc::clone(&service1) as Arc<dyn ScoreService>,
         config.ab_seed,

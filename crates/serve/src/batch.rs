@@ -1,17 +1,20 @@
-//! The micro-batching request queue and scoring worker pool.
+//! The request queue and its work-conserving scoring worker pool.
 //!
-//! Requests enter a `std::sync::mpsc` channel. A dedicated batcher thread
-//! coalesces up to `max_batch` pending requests into one dispatch — waiting
-//! at most `flush_deadline` after the first request of a batch — and hands
-//! the batch to a worker pool. Workers group a batch by user id, so a burst
-//! of requests for the same user costs a single subgraph build + forward
-//! pass, and every other user in the batch reuses the warm parameter state
-//! back-to-back.
+//! Requests enter a `std::sync::mpsc` job channel that the scoring workers
+//! drain directly. A worker blocks for one job, then takes — without
+//! waiting — up to `max_batch − 1` more jobs that are already queued, and
+//! scores that batch. Nothing ever holds a job back to wait for company: an
+//! idle worker picks up a lone request at once, and batches form only from
+//! work that queued up while every worker was busy. Workers group a batch
+//! by user id, so a burst of requests for the same user costs a single
+//! subgraph build + forward pass, and the whole batch shares one registry
+//! pin.
 //!
 //! KUCNet's forward pass already "batches" across candidate items: one
-//! L-layer propagation scores every item for a user (PAPER.md §IV). The
-//! batcher adds the request-level half: queueing amortization and duplicate
-//! collapsing under concurrent load.
+//! L-layer propagation scores every item for a user (PAPER.md §IV), so a
+//! request is one independent per-user pass and waiting to gather requests
+//! would fuse no work. Batching here buys only duplicate collapsing and
+//! pin amortization under concurrent load.
 //!
 //! ## Fault containment
 //!
@@ -70,15 +73,18 @@ pub struct ScoredReply {
 struct Job {
     user: UserId,
     top_k: usize,
+    /// When the job entered the queue; a worker records the wait until it
+    /// drains the job as the queue stage.
+    enqueued: Instant,
     reply: mpsc::Sender<Result<ScoredReply, ServeError>>,
 }
 
 /// Counters describing batching behavior (exposed for tests and metrics).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatcherStats {
-    /// Batches dispatched to the worker pool.
+    /// Batches the workers drained from the queue.
     pub batches: u64,
-    /// Individual requests across all dispatched batches.
+    /// Individual requests across all drained batches.
     pub jobs: u64,
     /// Unique users actually scored (jobs minus duplicates collapsed).
     pub users_scored: u64,
@@ -94,6 +100,13 @@ pub struct BatcherStats {
     /// Submissions shed with [`ServeError::Overloaded`] because the queue
     /// was at `max_queue_depth`.
     pub shed_total: u64,
+    /// p50 of the queue stage (enqueue until a worker drains the job), in
+    /// microseconds.
+    pub queue_p50_us: u64,
+    /// p95 of the queue stage, in microseconds.
+    pub queue_p95_us: u64,
+    /// p99 of the queue stage, in microseconds.
+    pub queue_p99_us: u64,
     /// p50 of the cache-fill stage (subgraph build on a miss), in
     /// microseconds.
     pub fill_p50_us: u64,
@@ -120,7 +133,7 @@ enum Notice {
 
 /// Why a worker's loop ended.
 enum WorkerExit {
-    /// The batch channel closed (orderly shutdown).
+    /// The job channel closed and drained (orderly shutdown).
     Shutdown,
     /// A caught panic tainted this worker's warm state.
     Tainted,
@@ -129,32 +142,40 @@ enum WorkerExit {
 /// Everything a scoring worker needs; cloneable so the supervisor can mint
 /// replacement workers after a panic.
 struct WorkerCtx {
-    batch_rx: Arc<Mutex<mpsc::Receiver<Vec<Job>>>>,
+    job_rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     registry: Arc<ModelRegistry>,
     cache: Arc<SubgraphCache>,
+    batches: Arc<AtomicU64>,
+    jobs: Arc<AtomicU64>,
     users_scored: Arc<AtomicU64>,
     panics_total: Arc<AtomicU64>,
     queue_depth: Arc<AtomicU64>,
     workers_alive: Arc<AtomicU64>,
+    stage_queue: Arc<LatencyHistogram>,
     stage_fill: Arc<LatencyHistogram>,
     stage_warm: Arc<LatencyHistogram>,
     notice_tx: mpsc::Sender<Notice>,
+    max_batch: usize,
     batch_threads: usize,
 }
 
 impl Clone for WorkerCtx {
     fn clone(&self) -> Self {
         Self {
-            batch_rx: Arc::clone(&self.batch_rx),
+            job_rx: Arc::clone(&self.job_rx),
             registry: Arc::clone(&self.registry),
             cache: Arc::clone(&self.cache),
+            batches: Arc::clone(&self.batches),
+            jobs: Arc::clone(&self.jobs),
             users_scored: Arc::clone(&self.users_scored),
             panics_total: Arc::clone(&self.panics_total),
             queue_depth: Arc::clone(&self.queue_depth),
             workers_alive: Arc::clone(&self.workers_alive),
+            stage_queue: Arc::clone(&self.stage_queue),
             stage_fill: Arc::clone(&self.stage_fill),
             stage_warm: Arc::clone(&self.stage_warm),
             notice_tx: self.notice_tx.clone(),
+            max_batch: self.max_batch,
             batch_threads: self.batch_threads,
         }
     }
@@ -177,8 +198,8 @@ impl WorkerCtx {
     }
 }
 
-/// The micro-batching queue: accepts requests, coalesces them, and scores
-/// them on a self-healing worker pool over a shared [`SubgraphCache`].
+/// The request queue: accepts requests and scores them on a self-healing,
+/// work-conserving worker pool over a shared [`SubgraphCache`].
 pub struct Batcher {
     queue: Mutex<Option<mpsc::Sender<Job>>>,
     reply_timeout: Duration,
@@ -191,20 +212,21 @@ pub struct Batcher {
     panics_total: Arc<AtomicU64>,
     workers_respawned: Arc<AtomicU64>,
     workers_alive: Arc<AtomicU64>,
+    stage_queue: Arc<LatencyHistogram>,
     stage_fill: Arc<LatencyHistogram>,
     stage_warm: Arc<LatencyHistogram>,
     shutting_down: Arc<AtomicBool>,
     notice_tx: Mutex<Option<mpsc::Sender<Notice>>>,
-    batcher_thread: Mutex<Option<JoinHandle<()>>>,
     supervisor_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Batcher {
-    /// Starts the batcher thread, `config.workers` scoring workers over the
-    /// model `registry` (memoizing pruned subgraphs in `cache`, keyed by
-    /// `(model version, graph version)`), and a supervisor that respawns
-    /// workers which die catching a scoring panic. Workers pin the registry
-    /// once per batch, so a hot-swap landing mid-batch never mixes model
+    /// Starts `config.workers` scoring workers over the model `registry`
+    /// (memoizing pruned subgraphs in `cache`, keyed by `(model version,
+    /// graph version)`), and a supervisor that respawns workers which die
+    /// catching a scoring panic. Each worker drains up to
+    /// `config.max_batch` queued jobs per batch and pins the registry once
+    /// per batch, so a hot-swap landing mid-batch never mixes model
     /// generations within a batch.
     pub fn start(
         registry: Arc<ModelRegistry>,
@@ -212,9 +234,7 @@ impl Batcher {
         config: &ServeConfig,
     ) -> Self {
         let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (batch_tx, batch_rx) = mpsc::channel::<Vec<Job>>();
         let (notice_tx, notice_rx) = mpsc::channel::<Notice>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
 
         let batches = Arc::new(AtomicU64::new(0));
         let jobs = Arc::new(AtomicU64::new(0));
@@ -223,29 +243,26 @@ impl Batcher {
         let workers_respawned = Arc::new(AtomicU64::new(0));
         let workers_alive = Arc::new(AtomicU64::new(0));
         let queue_depth = Arc::new(AtomicU64::new(0));
+        let stage_queue = Arc::new(LatencyHistogram::new());
         let stage_fill = Arc::new(LatencyHistogram::new());
         let stage_warm = Arc::new(LatencyHistogram::new());
         let shutting_down = Arc::new(AtomicBool::new(false));
 
-        let max_batch = config.max_batch.max(1);
-        let flush = config.flush_deadline;
-        let b_batches = Arc::clone(&batches);
-        let b_jobs = Arc::clone(&jobs);
-        let batcher_thread = std::thread::spawn(move || {
-            run_batcher(&job_rx, &batch_tx, max_batch, flush, &b_batches, &b_jobs);
-        });
-
         let ctx = WorkerCtx {
-            batch_rx,
+            job_rx: Arc::new(Mutex::new(job_rx)),
             registry,
             cache,
+            batches: Arc::clone(&batches),
+            jobs: Arc::clone(&jobs),
             users_scored: Arc::clone(&users_scored),
             panics_total: Arc::clone(&panics_total),
             queue_depth: Arc::clone(&queue_depth),
             workers_alive: Arc::clone(&workers_alive),
+            stage_queue: Arc::clone(&stage_queue),
             stage_fill: Arc::clone(&stage_fill),
             stage_warm: Arc::clone(&stage_warm),
             notice_tx: notice_tx.clone(),
+            max_batch: config.max_batch.max(1),
             batch_threads: config.batch_threads.max(1),
         };
         let worker_threads: Vec<JoinHandle<()>> =
@@ -269,11 +286,11 @@ impl Batcher {
             panics_total,
             workers_respawned,
             workers_alive,
+            stage_queue,
             stage_fill,
             stage_warm,
             shutting_down,
             notice_tx: Mutex::new(Some(notice_tx)),
-            batcher_thread: Mutex::new(Some(batcher_thread)),
             supervisor_thread: Mutex::new(Some(supervisor_thread)),
         }
     }
@@ -299,7 +316,7 @@ impl Batcher {
                 saturating_inc(&self.shed_total);
                 return Err(ServeError::Overloaded);
             }
-            if tx.send(Job { user, top_k, reply: reply_tx }).is_err() {
+            if tx.send(Job { user, top_k, enqueued: Instant::now(), reply: reply_tx }).is_err() {
                 saturating_dec(&self.queue_depth);
                 return Err(ServeError::Unavailable);
             }
@@ -324,6 +341,9 @@ impl Batcher {
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             shed_total: self.shed_total.load(Ordering::Relaxed),
+            queue_p50_us: self.stage_queue.quantile_us(0.50),
+            queue_p95_us: self.stage_queue.quantile_us(0.95),
+            queue_p99_us: self.stage_queue.quantile_us(0.99),
             fill_p50_us: self.stage_fill.quantile_us(0.50),
             fill_p95_us: self.stage_fill.quantile_us(0.95),
             fill_p99_us: self.stage_fill.quantile_us(0.99),
@@ -333,17 +353,15 @@ impl Batcher {
         }
     }
 
-    /// Stops accepting work, drains in-flight batches, and joins every
-    /// thread (including respawned workers). Idempotent; also runs on drop.
+    /// Stops accepting work, drains queued and in-flight jobs, and joins
+    /// every thread (including respawned workers). Idempotent; also runs on
+    /// drop.
     pub fn shutdown(&self) {
         // Respawns stop first, so a worker dying during drain stays dead.
         self.shutting_down.store(true, Ordering::SeqCst);
-        // Dropping the job sender ends the batcher loop, which drops the
-        // batch sender, which ends every worker.
+        // Dropping the job sender lets the workers answer every job still
+        // queued; each exits once the channel is empty and disconnected.
         self.queue.lock().take();
-        if let Some(handle) = self.batcher_thread.lock().take() {
-            let _ = handle.join();
-        }
         // Wake the supervisor; it joins all current workers before exiting.
         if let Some(tx) = self.notice_tx.lock().take() {
             let _ = tx.send(Notice::Shutdown);
@@ -357,55 +375,6 @@ impl Batcher {
 impl Drop for Batcher {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Coalesces queued jobs into batches of at most `max_batch`, flushing a
-/// partial batch `flush` after its first job arrived. `batches`/`jobs` are
-/// counted only after a successful dispatch: a failed send at shutdown must
-/// not inflate stats with a batch no worker ever saw.
-fn run_batcher(
-    job_rx: &mpsc::Receiver<Job>,
-    batch_tx: &mpsc::Sender<Vec<Job>>,
-    max_batch: usize,
-    flush: Duration,
-    batches: &AtomicU64,
-    jobs: &AtomicU64,
-) {
-    loop {
-        // Block for the batch's first job; an error means shutdown.
-        let first = match job_rx.recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + flush;
-        let mut disconnected = false;
-        while batch.len() < max_batch {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match job_rx.recv_timeout(remaining) {
-                Ok(job) => batch.push(job),
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        let dispatched = batch.len();
-        if batch_tx.send(batch).is_err() {
-            return;
-        }
-        saturating_inc(batches);
-        for _ in 0..dispatched {
-            saturating_inc(jobs);
-        }
-        if disconnected {
-            return;
-        }
     }
 }
 
@@ -442,7 +411,9 @@ fn run_supervisor(
     }
 }
 
-/// Worker loop: pull a batch, score each unique user once, answer all jobs.
+/// Worker loop: drain a batch, score each unique user once, answer all jobs.
+/// A batch is one job taken blocking plus up to `max_batch − 1` more that
+/// are already queued; the worker never waits for a batch to fill.
 /// Unique users within a batch are scored concurrently on the shared
 /// `kucnet-par` pool (`batch_threads` wide) in ascending user order, so
 /// replies are independent of both HashMap iteration order and scheduling.
@@ -462,13 +433,27 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
         // the mutex instead of the channel — same wakeup semantics, and the
         // lock is released before any scoring work happens.
         let batch = {
-            let rx = ctx.batch_rx.lock();
-            rx.recv()
+            let rx = ctx.job_rx.lock();
+            let Ok(first) = rx.recv() else {
+                return WorkerExit::Shutdown;
+            };
+            let mut batch = vec![first];
+            while batch.len() < ctx.max_batch {
+                match rx.try_recv() {
+                    Ok(job) => batch.push(job),
+                    Err(_) => break,
+                }
+            }
+            batch
         };
-        let batch = match batch {
-            Ok(batch) => batch,
-            Err(_) => return WorkerExit::Shutdown,
-        };
+        let drained = Instant::now();
+        for job in &batch {
+            ctx.stage_queue.record(micros(drained.saturating_duration_since(job.enqueued)));
+        }
+        saturating_inc(&ctx.batches);
+        for _ in 0..batch.len() {
+            saturating_inc(&ctx.jobs);
+        }
         let mut by_user: HashMap<u32, Vec<Job>> = HashMap::new();
         for job in batch {
             by_user.entry(job.user.0).or_default().push(job);
@@ -499,9 +484,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 let fill_started = Instant::now();
                 let (graph, hit) = ctx.cache.get_or_insert(user, version, || bctx.build(user));
                 if !hit {
-                    let fill_micros = fill_started.elapsed().as_micros();
-                    // audit: allow(no-lossy-cast) — a latency past u64::MAX µs is unreachable; saturating is the right histogram clamp
-                    ctx.stage_fill.record(u64::try_from(fill_micros).unwrap_or(u64::MAX));
+                    ctx.stage_fill.record(micros(fill_started.elapsed()));
                 }
                 // Attribute the cache outcome to the variant only once the
                 // build actually resolved (a panicking build propagates
@@ -509,9 +492,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 ctx.registry.record_cache(variant, hit);
                 let warm_started = Instant::now();
                 let scores = model.service().score_graph_pooled(pool, &graph, model.quantized());
-                // audit: allow(no-lossy-cast) — a latency past u64::MAX µs is unreachable; saturating is the right histogram clamp
-                let micros = u64::try_from(warm_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                ctx.stage_warm.record(micros);
+                ctx.stage_warm.record(micros(warm_started.elapsed()));
                 scores
             },
         );
@@ -552,6 +533,12 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
     }
 }
 
+/// A stage duration in whole microseconds for a [`LatencyHistogram`].
+fn micros(elapsed: Duration) -> u64 {
+    // audit: allow(no-lossy-cast) — a latency past u64::MAX µs is unreachable; saturating is the right histogram clamp
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
+}
+
 /// Top-`k` `(item, score)` pairs in descending score order, using the same
 /// selection the offline evaluator uses (`kucnet_eval::top_n_indices`), so
 /// served rankings are identical to offline rankings down to tie-breaks.
@@ -574,12 +561,14 @@ mod tests {
     }
 
     /// A deterministic stand-in model: user `u` scores item `i` as
-    /// `((u * 31 + i * 17) % 97)`; optionally panics on one user's build.
+    /// `((u * 31 + i * 17) % 97)`; optionally panics on one user's build,
+    /// or blocks one user's build until the gate's sender is dropped.
     struct MockService {
         n_users: usize,
         n_items: usize,
         build_delay: Duration,
         panic_user: Option<u32>,
+        gate: Option<(u32, Mutex<mpsc::Receiver<()>>)>,
     }
 
     impl ScoreService for MockService {
@@ -599,6 +588,11 @@ mod tests {
             if self.panic_user == Some(user.0) {
                 panic!("mock build exploded for user {}", user.0);
             }
+            if let Some((gated, gate)) = &self.gate {
+                if *gated == user.0 {
+                    let _ = gate.lock().recv();
+                }
+            }
             std::thread::sleep(self.build_delay);
             Arc::new(LayeredGraph {
                 root: NodeId(user.0),
@@ -613,14 +607,8 @@ mod tests {
         }
     }
 
-    fn test_config(max_batch: usize, flush_ms: u64) -> ServeConfig {
-        ServeConfig {
-            max_batch,
-            flush_deadline: Duration::from_millis(flush_ms),
-            workers: 2,
-            cache_capacity: 16,
-            ..ServeConfig::default()
-        }
+    fn test_config(max_batch: usize) -> ServeConfig {
+        ServeConfig { max_batch, workers: 2, cache_capacity: 16, ..ServeConfig::default() }
     }
 
     fn mock_batcher(config: &ServeConfig) -> (Arc<Batcher>, Arc<SubgraphCache>) {
@@ -629,72 +617,92 @@ mod tests {
             n_items: 20,
             build_delay: Duration::ZERO,
             panic_user: None,
+            gate: None,
         });
         let cache = Arc::new(SubgraphCache::new(config.cache_capacity));
         (Arc::new(Batcher::start(single_registry(service), Arc::clone(&cache), config)), cache)
     }
 
     #[test]
-    fn single_request_flushes_at_deadline() {
-        // max_batch is high, so only the flush deadline can release the job.
-        let (batcher, _) = mock_batcher(&test_config(64, 30));
-        let started = Instant::now();
+    fn single_request_dispatches_without_a_partner() {
+        // max_batch is high and nothing else is queued: the lone job must
+        // be scored at once rather than held for company.
+        let (batcher, _) = mock_batcher(&test_config(64));
         let ranking = batcher.submit(UserId(2), 3).unwrap().ranking;
-        let elapsed = started.elapsed();
         assert_eq!(ranking.len(), 3);
-        assert!(elapsed >= Duration::from_millis(25), "flushed early: {elapsed:?}");
-        assert!(elapsed < Duration::from_secs(5), "deadline flush never fired");
-        assert_eq!(batcher.stats().batches, 1);
+        let stats = batcher.stats();
+        assert_eq!((stats.batches, stats.jobs), (1, 1), "{stats:?}");
     }
 
     #[test]
     fn full_batch_flushes_before_deadline() {
-        // Deadline is far away (5s); max_batch=2 must flush as soon as two
-        // jobs are pending.
-        let (batcher, _) = mock_batcher(&test_config(2, 5_000));
+        // Two concurrent submits with max_batch=2 are both answered
+        // promptly, whether they share a batch or not.
+        let (batcher, _) = mock_batcher(&test_config(2));
         let started = Instant::now();
         let b2 = Arc::clone(&batcher);
         let other = std::thread::spawn(move || b2.submit(UserId(1), 2));
         let ranking = batcher.submit(UserId(2), 2).unwrap().ranking;
         let other_ranking = other.join().expect("submitter thread").unwrap().ranking;
         let elapsed = started.elapsed();
-        assert!(elapsed < Duration::from_secs(4), "batch-full flush never fired: {elapsed:?}");
+        assert!(elapsed < Duration::from_secs(4), "batch never dispatched: {elapsed:?}");
         assert_eq!(ranking.len(), 2);
         assert_eq!(other_ranking.len(), 2);
     }
 
+    /// Polls `stats` until `done` holds, failing after five seconds.
+    fn wait_for(batcher: &Batcher, done: impl Fn(&BatcherStats) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(&batcher.stats()) {
+            assert!(Instant::now() < deadline, "stats never settled: {:?}", batcher.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn duplicate_users_in_a_batch_are_scored_once() {
-        let config = test_config(4, 200);
+        // One worker, blocked on user 0's build, while four requests for
+        // user 3 queue up behind it: releasing the gate must drain all four
+        // as one batch and score user 3 once.
+        let config = ServeConfig { workers: 1, ..test_config(16) };
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let service: Arc<dyn ScoreService> = Arc::new(MockService {
             n_users: 8,
             n_items: 20,
             build_delay: Duration::ZERO,
             panic_user: None,
+            gate: Some((0, Mutex::new(gate_rx))),
         });
         let cache = Arc::new(SubgraphCache::new(16));
         let batcher = Arc::new(Batcher::start(single_registry(service), cache, &config));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let b = Arc::clone(&batcher);
-            handles.push(std::thread::spawn(move || b.submit(UserId(3), 5)));
-        }
+        let b = Arc::clone(&batcher);
+        let blocked = std::thread::spawn(move || b.submit(UserId(0), 5));
+        wait_for(&batcher, |s| s.batches == 1);
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let b = Arc::clone(&batcher);
+                std::thread::spawn(move || b.submit(UserId(3), 5))
+            })
+            .collect();
+        wait_for(&batcher, |s| s.queue_depth == 5);
+        std::thread::sleep(Duration::from_millis(20));
+        drop(gate_tx);
+
+        assert_eq!(blocked.join().expect("submitter").unwrap().ranking.len(), 5);
         let rankings: Vec<Ranking> =
             handles.into_iter().map(|h| h.join().expect("submitter").unwrap().ranking).collect();
         for r in &rankings {
             assert_eq!(r, &rankings[0], "duplicate requests must agree");
         }
         let stats = batcher.stats();
-        assert_eq!(stats.jobs, 4);
-        assert!(
-            stats.users_scored < stats.jobs,
-            "at least one duplicate must be collapsed: {stats:?}"
-        );
+        assert_eq!((stats.jobs, stats.batches, stats.users_scored), (5, 2, 2), "{stats:?}");
+        // Four of the five jobs waited out the 20 ms gate in the queue.
+        assert!(stats.queue_p50_us >= 20_000, "queue wait not recorded: {stats:?}");
     }
 
     #[test]
     fn rankings_are_descending_and_match_scores() {
-        let (batcher, _) = mock_batcher(&test_config(1, 1));
+        let (batcher, _) = mock_batcher(&test_config(1));
         let ranking = batcher.submit(UserId(1), 10).unwrap().ranking;
         assert_eq!(ranking.len(), 10);
         for pair in ranking.windows(2) {
@@ -707,7 +715,7 @@ mod tests {
         // Same burst of distinct users scored with batch_threads = 1 and 4:
         // every reply must be identical (scoring is a pure per-user map).
         let burst = |batch_threads: usize| -> Vec<Ranking> {
-            let config = ServeConfig { batch_threads, ..test_config(8, 100) };
+            let config = ServeConfig { batch_threads, ..test_config(8) };
             let (batcher, _) = mock_batcher(&config);
             let handles: Vec<_> = (0..6u32)
                 .map(|u| {
@@ -722,7 +730,7 @@ mod tests {
 
     #[test]
     fn stage_histograms_split_fill_from_warm_scoring() {
-        let (batcher, cache) = mock_batcher(&test_config(1, 1));
+        let (batcher, cache) = mock_batcher(&test_config(1));
         batcher.submit(UserId(4), 2).unwrap(); // cold: fill + warm
         batcher.submit(UserId(4), 2).unwrap(); // warm only
         let stats = batcher.stats();
@@ -733,14 +741,14 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_is_unavailable() {
-        let (batcher, _) = mock_batcher(&test_config(2, 1));
+        let (batcher, _) = mock_batcher(&test_config(2));
         batcher.shutdown();
         assert!(matches!(batcher.submit(UserId(0), 1), Err(ServeError::Unavailable)));
     }
 
     #[test]
     fn repeat_user_hits_cache() {
-        let (batcher, cache) = mock_batcher(&test_config(1, 1));
+        let (batcher, cache) = mock_batcher(&test_config(1));
         batcher.submit(UserId(5), 2).unwrap();
         batcher.submit(UserId(5), 2).unwrap();
         let stats = cache.stats();
@@ -748,33 +756,17 @@ mod tests {
     }
 
     #[test]
-    fn failed_dispatch_counts_no_batch() {
-        // Regression: a batch whose dispatch fails (workers already gone at
-        // shutdown) used to count in `batches`/`jobs` anyway.
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (batch_tx, batch_rx) = mpsc::channel::<Vec<Job>>();
-        drop(batch_rx); // no worker will ever see the dispatch
-        let (reply_tx, _reply_rx) = mpsc::channel();
-        job_tx.send(Job { user: UserId(0), top_k: 1, reply: reply_tx }).unwrap();
-        drop(job_tx);
-        let batches = AtomicU64::new(0);
-        let jobs = AtomicU64::new(0);
-        run_batcher(&job_rx, &batch_tx, 4, Duration::from_millis(1), &batches, &jobs);
-        assert_eq!(batches.load(Ordering::Relaxed), 0, "undispatched batch must not count");
-        assert_eq!(jobs.load(Ordering::Relaxed), 0, "undispatched jobs must not count");
-    }
-
-    #[test]
     fn panicking_user_gets_500_others_succeed_and_pool_heals() {
         // One user's build panics inside a mixed batch: its jobs get
         // Internal, every other job still succeeds, and the supervisor
         // respawns the tainted worker back to full pool size.
-        let config = ServeConfig { workers: 2, ..test_config(8, 100) };
+        let config = ServeConfig { workers: 2, ..test_config(8) };
         let service: Arc<dyn ScoreService> = Arc::new(MockService {
             n_users: 8,
             n_items: 20,
             build_delay: Duration::ZERO,
             panic_user: Some(3),
+            gate: None,
         });
         let cache = Arc::new(SubgraphCache::new(16));
         let batcher = Arc::new(Batcher::start(single_registry(service), cache, &config));
@@ -820,12 +812,13 @@ mod tests {
     fn queue_overflow_sheds_with_overloaded() {
         // Capacity 1 queue + slow builds: concurrent submits must shed
         // rather than queue without bound.
-        let config = ServeConfig { workers: 1, max_queue_depth: 1, ..test_config(1, 1) };
+        let config = ServeConfig { workers: 1, max_queue_depth: 1, ..test_config(1) };
         let service: Arc<dyn ScoreService> = Arc::new(MockService {
             n_users: 8,
             n_items: 20,
             build_delay: Duration::from_millis(100),
             panic_user: None,
+            gate: None,
         });
         let cache = Arc::new(SubgraphCache::new(1));
         let batcher = Arc::new(Batcher::start(single_registry(service), cache, &config));

@@ -9,9 +9,9 @@
 //! into an HTTP service:
 //!
 //! ```text
-//!  HTTP conn ──► parse/validate ──► micro-batch queue ──► worker pool
-//!                                      (≤ B users or          │
-//!                                       flush deadline)       ▼
+//!  HTTP conn ──► parse/validate ──► job queue ──► worker pool
+//!                                   (drained ≤ B at a time,   │
+//!                                    never held back)         ▼
 //!                            subgraph LRU cache ◄──── PPR-pruned layering
 //!                                      │                      │
 //!                                      └──── tape-free forward┘──► top-k
@@ -23,9 +23,10 @@
 //!   PPR-pruned layered subgraph per user id, with hit/miss counters.
 //!   Repeat requests skip pruning entirely and go straight to the forward
 //!   pass.
-//! - [`Batcher`] — a `std::sync::mpsc` request queue feeding a worker pool;
-//!   up to `max_batch` pending users are coalesced per dispatch (duplicate
-//!   users in a batch are scored once), with a configurable flush deadline.
+//! - [`Batcher`] — a `std::sync::mpsc` request queue drained directly by a
+//!   work-conserving worker pool: a worker takes one job plus whatever is
+//!   already queued, up to `max_batch`, and never waits for more (duplicate
+//!   users in a batch are scored once).
 //! - [`ServeMetrics`] / [`LatencyHistogram`] — request counters and a
 //!   fixed-bucket latency histogram reporting p50/p95/p99, all with
 //!   saturating arithmetic.
@@ -80,11 +81,10 @@ pub use kucnet::{ExplainOutput, ScoreService};
 pub struct ServeConfig {
     /// Maximum number of user subgraphs retained by the LRU cache.
     pub cache_capacity: usize,
-    /// Maximum number of requests coalesced into one dispatched batch.
+    /// Maximum number of queued requests one worker drains into a batch.
+    /// A worker never waits for a batch to fill: it takes one request and
+    /// whatever else is already queued, up to this cap.
     pub max_batch: usize,
-    /// How long the batcher waits for more requests after the first one
-    /// before flushing a partial batch.
-    pub flush_deadline: Duration,
     /// Number of scoring worker threads.
     pub workers: usize,
     /// Worker threads used *within* one dispatched batch to score its
@@ -127,7 +127,6 @@ impl Default for ServeConfig {
         Self {
             cache_capacity: 1024,
             max_batch: 16,
-            flush_deadline: Duration::from_millis(2),
             workers: 2,
             batch_threads: 1,
             max_top_k: 1000,

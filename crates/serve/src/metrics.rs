@@ -221,6 +221,9 @@ impl ServeMetrics {
         line("kucnet_latency_p95_us", snap.p95_us.to_string());
         line("kucnet_latency_p99_us", snap.p99_us.to_string());
         line("kucnet_latency_overflow_total", snap.latency_overflow_total.to_string());
+        line("kucnet_stage_queue_p50_us", batch.queue_p50_us.to_string());
+        line("kucnet_stage_queue_p95_us", batch.queue_p95_us.to_string());
+        line("kucnet_stage_queue_p99_us", batch.queue_p99_us.to_string());
         line("kucnet_stage_fill_p50_us", batch.fill_p50_us.to_string());
         line("kucnet_stage_fill_p95_us", batch.fill_p95_us.to_string());
         line("kucnet_stage_fill_p99_us", batch.fill_p99_us.to_string());
@@ -302,6 +305,7 @@ mod tests {
             panics_total: 2,
             workers_respawned: 1,
             workers_alive: 4,
+            queue_p50_us: 100,
             fill_p50_us: 5_000,
             warm_p50_us: 200,
             ..BatcherStats::default()
@@ -322,6 +326,8 @@ mod tests {
             "kucnet_updates_total 1",
             "kucnet_latency_p50_us 1000",
             "kucnet_latency_overflow_total 0",
+            "kucnet_stage_queue_p50_us 100",
+            "kucnet_stage_queue_p99_us 0",
             "kucnet_stage_fill_p50_us 5000",
             "kucnet_stage_warm_p50_us 200",
             "kucnet_stage_warm_p99_us 0",

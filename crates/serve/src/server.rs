@@ -1,5 +1,5 @@
 //! The HTTP frontend: a `std::net::TcpListener` accept loop routing
-//! requests into the micro-batching scorer.
+//! requests into the batching scorer.
 //!
 //! Endpoints:
 //!
@@ -196,7 +196,7 @@ impl ServerHandle {
         self.shared.cache.stats()
     }
 
-    /// Snapshot of micro-batching counters.
+    /// Snapshot of batching counters.
     pub fn batcher_stats(&self) -> BatcherStats {
         self.shared.batcher.stats()
     }

@@ -121,7 +121,6 @@ fn burst_under_panics_completes_heals_and_counts() {
     let config = ServeConfig {
         workers: 3,
         max_batch: 8,
-        flush_deadline: Duration::from_millis(1),
         cache_capacity: 8, // smaller than the user spread: builds keep happening
         reply_timeout,
         ..ServeConfig::default()
@@ -202,7 +201,6 @@ fn one_panicking_user_in_a_mixed_batch_gets_500_rest_get_200() {
     let config = ServeConfig {
         workers: 1,
         max_batch: 16,
-        flush_deadline: Duration::from_millis(50),
         cache_capacity: 64,
         reply_timeout,
         ..ServeConfig::default()
@@ -245,7 +243,6 @@ fn queue_overflow_sheds_503_and_counts() {
     let config = ServeConfig {
         workers: 1,
         max_batch: 1,
-        flush_deadline: Duration::from_millis(1),
         max_queue_depth: 1,
         cache_capacity: 1,
         ..ServeConfig::default()
@@ -284,12 +281,7 @@ fn connection_cap_sheds_503_inline() {
     // With one allowed connection and slow scoring, concurrent clients past
     // the cap get an immediate 503 from the accept thread rather than a
     // handler thread each.
-    let config = ServeConfig {
-        workers: 1,
-        max_connections: 1,
-        flush_deadline: Duration::from_millis(1),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { workers: 1, max_connections: 1, ..ServeConfig::default() };
     let faults = FaultConfig {
         delay_rate: 1.0,
         delay: Duration::from_millis(300),

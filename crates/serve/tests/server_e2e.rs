@@ -96,13 +96,8 @@ fn start_test_server() -> (Arc<KucNet>, ServerHandle) {
     // Capacity exceeds the tiny profile's user count, so once a user's
     // subgraph is resident it can never be evicted — repeat requests are
     // deterministic cache hits even under concurrent thrash.
-    let config = ServeConfig {
-        cache_capacity: 256,
-        max_batch: 4,
-        flush_deadline: std::time::Duration::from_millis(2),
-        workers: 2,
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { cache_capacity: 256, max_batch: 4, workers: 2, ..ServeConfig::default() };
     let handle = Server::start(service, config, "127.0.0.1:0").expect("bind ephemeral port");
     (model, handle)
 }

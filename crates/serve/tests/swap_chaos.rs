@@ -166,7 +166,7 @@ fn recommend_until_200(addr: std::net::SocketAddr, user: u64, top_k: u64) -> Str
 
 #[test]
 fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
-    // The acceptance scenario: a 100-request burst under 20% injected build
+    // The acceptance scenario: a 110-request burst under 20% injected build
     // panics, with a model hot-swap landing mid-burst. Every request must
     // complete (200 or 500, never dropped), every 200 must carry a model
     // version whose offline ranking matches the served one exactly, both
@@ -177,7 +177,6 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
     let config = ServeConfig {
         workers: 3,
         max_batch: 8,
-        flush_deadline: Duration::from_millis(1),
         cache_capacity: 8, // smaller than the user spread: builds keep happening
         reply_timeout,
         ..ServeConfig::default()
@@ -196,26 +195,42 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
     assert_eq!(model_version_of(&pre), 1, "pre-swap traffic must be on v1: {pre}");
     assert_eq!(items_of(&pre), expected_ranking(0, 200, top_k as usize), "{pre}");
 
-    // The burst: 100 concurrent clients racing the swap.
-    let clients: Vec<_> = (0..100u64)
-        .map(|i| {
+    // The burst runs in three groups so that each side of the swap sees
+    // traffic by construction, not by timing. FaultyService's dice depend
+    // only on its seed and call index, so the first group's v1 builds
+    // draw a fixed fault sequence.
+    let spawn_clients = |ids: std::ops::Range<u64>| -> Vec<_> {
+        ids.map(|i| {
             std::thread::spawn(move || {
                 let started = Instant::now();
                 let resp = recommend(addr, i % 100, top_k);
                 (i, resp, started.elapsed())
             })
         })
-        .collect();
-    // Land the swap mid-burst (in-process, like an operator sidecar would).
-    std::thread::sleep(Duration::from_millis(5));
+        .collect()
+    };
+    // 50 clients run to completion on v1.
+    let mut results: Vec<_> =
+        spawn_clients(0..50).into_iter().map(|c| c.join().expect("client must not hang")).collect();
+    for (i, resp, _) in &results {
+        if resp.status == 200 {
+            assert_eq!(model_version_of(&resp.body), 1, "request {i} ran before the swap");
+        }
+    }
+    // 50 more are in flight while the swap lands (in-process, like an
+    // operator sidecar would).
+    let racing = spawn_clients(50..100);
     let new: Arc<dyn ScoreService> = Arc::new(StubService { tag: 1 });
     let v2 = handle.registry().reload("default", new).expect("hot swap");
     assert_eq!(v2, 2);
+    // A final group is submitted after `reload` returned.
+    let after = spawn_clients(100..110);
+    results
+        .extend(racing.into_iter().chain(after).map(|c| c.join().expect("client must not hang")));
 
     let mut served = [0u32; 2]; // per-version 200 counts (v1, v2)
     let mut failed = 0u32;
-    for client in clients {
-        let (i, resp, elapsed) = client.join().expect("client must not hang");
+    for (i, resp, elapsed) in results {
         assert!(
             elapsed < reply_timeout + Duration::from_secs(5),
             "request {i} took {elapsed:?}: client effectively hung"

@@ -41,14 +41,9 @@ fn main() {
     model.fit();
     let service: Arc<dyn ScoreService> = Arc::new(model);
 
-    // 2. Start the frontend: subgraph LRU cache -> micro-batcher -> workers.
-    let config = ServeConfig {
-        cache_capacity: 64,
-        max_batch: 8,
-        flush_deadline: std::time::Duration::from_millis(2),
-        workers: 2,
-        ..ServeConfig::default()
-    };
+    // 2. Start the frontend: subgraph LRU cache -> job queue -> workers.
+    let config =
+        ServeConfig { cache_capacity: 64, max_batch: 8, workers: 2, ..ServeConfig::default() };
     let handle = Server::start(service, config, "127.0.0.1:0").expect("start server");
     let addr = handle.addr();
     println!("serving on http://{addr}\n");
