@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 use kucnet_graph::{LayeredGraph, UserId};
 use kucnet_tensor::{
-    add_elementwise_into, attn_edge_scores_into, gather_rows_into, scale_rows_in_place,
-    scale_scatter_add_rows_into, Matrix, MatrixPool, ParamStore,
+    fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into, scale_rows_in_place,
+    Matrix, MatrixPool, ParamStore,
 };
 
 use crate::config::{Activation, AggregationNorm, KucNetConfig};
@@ -94,60 +94,70 @@ fn propagate_layer(
         return pool.matrix_zeroed(out_rows, d);
     }
     let e = layer.n_edges();
-    let mut hs = pool.matrix_raw(e, d);
-    gather_rows_into(&h, &layer.src_pos, &mut hs);
-    let mut hr = pool.matrix_raw(e, d);
-    gather_rows_into(store.value(p.rel), &layer.rel, &mut hr);
-    // message = W^l (h_s + h_r)
-    let mut summed = pool.matrix_raw(e, d);
-    add_elementwise_into(&hs, &hr, &mut summed);
-    let mut msg = pool.matrix_raw(e, d);
-    summed.matmul_into(store.value(p.w), &mut msg);
+    let (n, da) = (h.rows(), config.attn_dim);
+    let rel = store.value(p.rel);
+    // message = W^l (h_s + h_r) = (h W^l)[s] + (h_r W^l)[r]: one matmul
+    // over the node rows and one over the relation table, recomputed on
+    // every call (R×d², small next to the node side).
+    let mut node_msg = pool.matrix_raw(n, d);
+    h.matmul_into(store.value(p.w), &mut node_msg);
+    let mut rel_msg = pool.matrix_raw(rel.rows(), d);
+    rel.matmul_into(store.value(p.w), &mut rel_msg);
+    let mut scale = config.attention.then(|| {
+        // α = σ(w_α^T ReLU(W_αs h_s + W_αr h_r + b_α))   (Eq. 6), with the
+        // projections applied per node and per relation and the per-edge
+        // gather + score fused into one pass.
+        let mut node_attn = pool.matrix_raw(n, da);
+        h.matmul_into(store.value(p.w_as), &mut node_attn);
+        let mut rel_attn = pool.matrix_raw(rel.rows(), da);
+        rel.matmul_into(store.value(p.w_ar), &mut rel_attn);
+        let mut alpha = pool.matrix_raw(e, 1);
+        fused_gather_attn_scores_into(
+            &node_attn,
+            &layer.src_pos,
+            &rel_attn,
+            &layer.rel,
+            store.value(params.b_alpha),
+            store.value(p.w_a),
+            &mut alpha,
+        );
+        pool.release_matrix(node_attn);
+        pool.release_matrix(rel_attn);
+        alpha
+    });
     if config.agg_norm == AggregationNorm::RandomWalk {
         let mut outdeg = pool.acquire_zeroed(graph.node_lists[l].len());
         for &sp in &layer.src_pos {
             outdeg[sp as usize] += 1.0;
         }
-        let mut inv = pool.acquire(e);
-        for (slot, &sp) in inv.iter_mut().zip(&layer.src_pos) {
-            *slot = 1.0 / outdeg[sp as usize].max(1.0);
+        // Fold 1/outdeg into α (or into a unit scale, exactly: 1.0 · x = x),
+        // the same product the taped `mul_col_broadcast` records.
+        let s = scale.get_or_insert_with(|| {
+            let mut ones = pool.matrix_raw(e, 1);
+            ones.data_mut().fill(1.0);
+            ones
+        });
+        for (a, &sp) in s.data_mut().iter_mut().zip(&layer.src_pos) {
+            *a *= 1.0 / outdeg[sp as usize].max(1.0);
         }
-        scale_rows_in_place(&mut msg, &inv);
         pool.release(outdeg);
-        pool.release(inv);
     }
-    let alpha = if config.attention {
-        // α = σ(w_α^T ReLU(W_αs h_s + W_αr h_r + b_α))   (Eq. 6), fused
-        // into one pass over the edge rows.
-        let da = config.attn_dim;
-        let mut a_s = pool.matrix_raw(e, da);
-        hs.matmul_into(store.value(p.w_as), &mut a_s);
-        let mut a_r = pool.matrix_raw(e, da);
-        hr.matmul_into(store.value(p.w_ar), &mut a_r);
-        let mut alpha = pool.matrix_raw(e, 1);
-        attn_edge_scores_into(
-            &a_s,
-            &a_r,
-            store.value(params.b_alpha),
-            store.value(p.w_a),
-            &mut alpha,
-        );
-        pool.release_matrix(a_s);
-        pool.release_matrix(a_r);
-        Some(alpha)
-    } else {
-        None
-    };
-    // Fused α-scale + scatter into a pooled accumulator.
+    // Fused gather + add + scale + scatter into a pooled accumulator.
     let mut agg = pool.matrix_zeroed(out_rows, d);
-    scale_scatter_add_rows_into(&msg, alpha.as_ref(), &layer.dst_pos, &mut agg);
-    if let Some(alpha) = alpha {
-        pool.release_matrix(alpha);
+    fused_gather_add_scale_scatter_into(
+        &node_msg,
+        &layer.src_pos,
+        &rel_msg,
+        &layer.rel,
+        scale.as_ref(),
+        &layer.dst_pos,
+        &mut agg,
+    );
+    if let Some(s) = scale {
+        pool.release_matrix(s);
     }
-    pool.release_matrix(hs);
-    pool.release_matrix(hr);
-    pool.release_matrix(summed);
-    pool.release_matrix(msg);
+    pool.release_matrix(node_msg);
+    pool.release_matrix(rel_msg);
     layer_epilogue(pool, config, &layer.dst_pos, &mut agg);
     pool.release_matrix(h);
     agg

@@ -175,18 +175,23 @@ pub fn forward(
             }
             continue;
         }
-        // message = W^l (h_s + h_r). With attention on, h_s and h_r are also
-        // inputs of the attention projections, so the gathers stay explicit;
-        // without attention the fused op skips both edge-sized gather
-        // intermediates.
-        let (summed, edge_reps) = if config.attention {
-            let hs = tape.gather_rows(h, &layer.src_pos);
-            let hr = tape.gather_rows(p.rel, &layer.rel);
-            (tape.add(hs, hr), Some((hs, hr)))
-        } else {
-            (tape.gather_pair_add(h, &layer.src_pos, p.rel, &layer.rel), None)
-        };
-        let mut msg = tape.matmul(summed, p.w);
+        // message = W^l (h_s + h_r) = (h W^l)[s] + (h_r W^l)[r]: the
+        // transform is linear, so it runs once per node and once per
+        // relation, and each edge only gathers and adds two rows.
+        let node_msg = tape.matmul(h, p.w);
+        let rel_msg = tape.matmul(p.rel, p.w);
+        let msg = tape.gather_pair_add(node_msg, &layer.src_pos, rel_msg, &layer.rel);
+        // Per-edge scale: attention α, the random-walk 1/outdeg, or both.
+        let mut scale = config.attention.then(|| {
+            // α = σ(w_α^T ReLU(W_αs h_s + W_αr h_r + b_α))   (Eq. 6), with
+            // both projections likewise applied per node and per relation
+            // and the add/broadcast/relu/matmul/sigmoid chain fused.
+            let a_s = tape.gather_rows(tape.matmul(h, p.w_as), &layer.src_pos);
+            let a_r = tape.gather_rows(tape.matmul(p.rel, p.w_ar), &layer.rel);
+            let alpha = tape.attn_edge_score(a_s, a_r, params.b_alpha, p.w_a);
+            attention.push(tape.with_value(alpha, |m| m.data().to_vec()));
+            alpha
+        });
         if config.agg_norm == AggregationNorm::RandomWalk {
             // Divide each message by its source's out-edge count in this
             // layer: aggregated values become degree-normalized path mass.
@@ -200,17 +205,8 @@ pub fn forward(
                 *slot = 1.0 / outdeg[sp as usize].max(1.0);
             }
             let inv = tape.constant_from_buffer(e, 1, inv);
-            msg = tape.mul_col_broadcast(msg, inv);
+            scale = Some(scale.map_or(inv, |alpha| tape.mul_col_broadcast(alpha, inv)));
         }
-        let alpha = edge_reps.map(|(hs, hr)| {
-            // α = σ(w_α^T ReLU(W_αs h_s + W_αr h_r + b_α))   (Eq. 6), with
-            // the add/broadcast/relu/matmul/sigmoid chain fused into one op.
-            let a_s = tape.matmul(hs, p.w_as);
-            let a_r = tape.matmul(hr, p.w_ar);
-            let alpha = tape.attn_edge_score(a_s, a_r, params.b_alpha, p.w_a);
-            attention.push(tape.with_value(alpha, |m| m.data().to_vec()));
-            alpha
-        });
         let mask = dropout_rng.as_deref_mut().filter(|_| config.dropout > 0.0).map(|rng| {
             let keep = 1.0 - config.dropout;
             let scale = 1.0 / keep;
@@ -220,9 +216,9 @@ pub fn forward(
             }
             mask
         });
-        // Fused α-scale + dropout-mask + scatter: replaces up to two full
+        // Fused scale + dropout-mask + scatter: replaces up to two full
         // edge-sized intermediates per layer with a single pass.
-        let mut agg = tape.scale_mask_scatter_add(msg, alpha, mask, &layer.dst_pos, out_rows);
+        let mut agg = tape.scale_mask_scatter_add(msg, scale, mask, &layer.dst_pos, out_rows);
         if config.agg_norm == AggregationNorm::MeanIn {
             let mut indeg = vec![0.0f32; out_rows];
             for &d in &layer.dst_pos {

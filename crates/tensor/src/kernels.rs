@@ -217,6 +217,82 @@ pub fn scale_rows_in_place(m: &mut Matrix, scale: &[f32]) {
     }
 }
 
+/// Fused per-edge attention score over **precomputed** projections: edge `k`
+/// reads row `src[k]` of `node_attn` (`n×da`) and row `ri[k]` of `rel_attn`
+/// (`R×da`) and writes
+/// `sigmoid(Σ_j relu(node + rel + bias) * w_a)` into `out[k]` — the same
+/// arithmetic as [`attn_edge_scores_into`](crate::attn_edge_scores_into)
+/// after a gather, in one streaming pass with no `E×da` intermediates. The
+/// inner loop has a fixed trip count `da` over contiguous rows.
+///
+/// # Panics
+/// Panics on shape or index-count mismatches.
+pub fn fused_gather_attn_scores_into(
+    node_attn: &Matrix,
+    src: &[u32],
+    rel_attn: &Matrix,
+    ri: &[u32],
+    bias: &Matrix,
+    w_a: &Matrix,
+    out: &mut Matrix,
+) {
+    let da = node_attn.cols();
+    assert_eq!(rel_attn.cols(), da, "fused_gather_attn_scores_into width mismatch");
+    assert_eq!(src.len(), ri.len(), "fused_gather_attn_scores_into index-count mismatch");
+    assert_eq!(bias.shape(), (1, da), "fused_gather_attn_scores_into bias shape mismatch");
+    assert_eq!(w_a.shape(), (da, 1), "fused_gather_attn_scores_into w_a shape mismatch");
+    assert_eq!(out.shape(), (src.len(), 1), "fused_gather_attn_scores_into output shape mismatch");
+    let bias_row = bias.row(0);
+    let wv = w_a.data();
+    for (k, (&s, &r)) in src.iter().zip(ri).enumerate() {
+        let (rs, rr) = (node_attn.row(s as usize), rel_attn.row(r as usize));
+        let mut z = 0.0f32;
+        for j in 0..da {
+            let pre = (rs[j] + rr[j]) + bias_row[j];
+            z += pre.max(0.0) * wv[j];
+        }
+        out.data_mut()[k] = crate::tape::stable_sigmoid(z);
+    }
+}
+
+/// Fused gather + add + scale + scatter over **precomputed** per-node and
+/// per-relation messages: edge `k` adds
+/// `scale[k] * (a.row(ia[k]) + b.row(ib[k]))` into `out.row(dst[k])`
+/// (`scale = None` means a unit scale). The caller owns — and has already
+/// initialized, typically to zero — the accumulator. One streaming pass,
+/// no `E×d` intermediates; the inner loop runs over three contiguous rows
+/// with a fixed trip count of `d`.
+///
+/// # Panics
+/// Panics on shape or index-bound mismatches.
+pub fn fused_gather_add_scale_scatter_into(
+    a: &Matrix,
+    ia: &[u32],
+    b: &Matrix,
+    ib: &[u32],
+    scale: Option<&Matrix>,
+    dst: &[u32],
+    out: &mut Matrix,
+) {
+    let d = a.cols();
+    let e = ia.len();
+    assert_eq!(b.cols(), d, "fused_gather_add_scale_scatter_into width mismatch");
+    assert_eq!(out.cols(), d, "fused_gather_add_scale_scatter_into accumulator width mismatch");
+    assert_eq!(ib.len(), e, "fused_gather_add_scale_scatter_into index-count mismatch");
+    assert_eq!(dst.len(), e, "one destination per edge required");
+    if let Some(s) = scale {
+        assert_eq!(s.shape(), (e, 1), "fused_gather_add_scale_scatter_into scale shape mismatch");
+    }
+    for k in 0..e {
+        let sv = scale.map_or(1.0, |s| s.get(k, 0));
+        let (ra, rb) = (a.row(ia[k] as usize), b.row(ib[k] as usize));
+        let acc = out.row_mut(dst[k] as usize);
+        for ((o, &x), &y) in acc.iter_mut().zip(ra).zip(rb) {
+            *o += sv * (x + y);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

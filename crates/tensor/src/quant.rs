@@ -16,11 +16,6 @@
 //! un-transposed operand. The layout also makes both dot operands contiguous
 //! row panels, which is what lets LLVM autovectorize the `i8×i8→i32` inner
 //! loop (fixed trip count, no per-element branching).
-//!
-//! The two `fused_*` kernels cover the quantized forward's per-edge work:
-//! after the node-level matmuls, each edge only gathers two precomputed
-//! rows, adds, scales, and scatters — a single streaming pass with no
-//! edge-sized intermediates.
 
 use crate::matrix::Matrix;
 
@@ -231,87 +226,9 @@ pub fn quant2_matmul_into(
     }
 }
 
-/// Fused per-edge attention score over **precomputed** projections: edge `k`
-/// reads row `src[k]` of `node_attn` (`n×da`) and row `ri[k]` of `rel_attn`
-/// (`R×da`) and writes
-/// `sigmoid(Σ_j relu(node + rel + bias) * w_a)` into `out[k]` — the same
-/// arithmetic as [`attn_edge_scores_into`](crate::attn_edge_scores_into)
-/// after a gather, in one streaming pass with no `E×da` intermediates. The
-/// inner loop has a fixed trip count `da` over contiguous rows.
-///
-/// # Panics
-/// Panics on shape or index-count mismatches.
-pub fn fused_gather_attn_scores_into(
-    node_attn: &Matrix,
-    src: &[u32],
-    rel_attn: &Matrix,
-    ri: &[u32],
-    bias: &Matrix,
-    w_a: &Matrix,
-    out: &mut Matrix,
-) {
-    let da = node_attn.cols();
-    assert_eq!(rel_attn.cols(), da, "fused_gather_attn_scores_into width mismatch");
-    assert_eq!(src.len(), ri.len(), "fused_gather_attn_scores_into index-count mismatch");
-    assert_eq!(bias.shape(), (1, da), "fused_gather_attn_scores_into bias shape mismatch");
-    assert_eq!(w_a.shape(), (da, 1), "fused_gather_attn_scores_into w_a shape mismatch");
-    assert_eq!(out.shape(), (src.len(), 1), "fused_gather_attn_scores_into output shape mismatch");
-    let bias_row = bias.row(0);
-    let wv = w_a.data();
-    for (k, (&s, &r)) in src.iter().zip(ri).enumerate() {
-        let (rs, rr) = (node_attn.row(s as usize), rel_attn.row(r as usize));
-        let mut z = 0.0f32;
-        for j in 0..da {
-            let pre = (rs[j] + rr[j]) + bias_row[j];
-            z += pre.max(0.0) * wv[j];
-        }
-        out.data_mut()[k] = crate::tape::stable_sigmoid(z);
-    }
-}
-
-/// Fused gather + add + scale + scatter over **precomputed** per-node and
-/// per-relation messages: edge `k` adds
-/// `scale[k] * (a.row(ia[k]) + b.row(ib[k]))` into `out.row(dst[k])`
-/// (`scale = None` means a unit scale). The caller owns — and has already
-/// initialized, typically to zero — the accumulator. One streaming pass,
-/// no `E×d` intermediates; the inner loop runs over three contiguous rows
-/// with a fixed trip count of `d`.
-///
-/// # Panics
-/// Panics on shape or index-bound mismatches.
-pub fn fused_gather_add_scale_scatter_into(
-    a: &Matrix,
-    ia: &[u32],
-    b: &Matrix,
-    ib: &[u32],
-    scale: Option<&Matrix>,
-    dst: &[u32],
-    out: &mut Matrix,
-) {
-    let d = a.cols();
-    let e = ia.len();
-    assert_eq!(b.cols(), d, "fused_gather_add_scale_scatter_into width mismatch");
-    assert_eq!(out.cols(), d, "fused_gather_add_scale_scatter_into accumulator width mismatch");
-    assert_eq!(ib.len(), e, "fused_gather_add_scale_scatter_into index-count mismatch");
-    assert_eq!(dst.len(), e, "one destination per edge required");
-    if let Some(s) = scale {
-        assert_eq!(s.shape(), (e, 1), "fused_gather_add_scale_scatter_into scale shape mismatch");
-    }
-    for k in 0..e {
-        let sv = scale.map_or(1.0, |s| s.get(k, 0));
-        let (ra, rb) = (a.row(ia[k] as usize), b.row(ib[k] as usize));
-        let acc = out.row_mut(dst[k] as usize);
-        for ((o, &x), &y) in acc.iter_mut().zip(ra).zip(rb) {
-            *o += sv * (x + y);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::mul_col_broadcast;
-    use crate::kernels::{attn_edge_scores_into, gather_rows, scatter_add_rows};
 
     fn wiggly(rows: usize, cols: usize, salt: u64) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -418,49 +335,6 @@ mod tests {
         let budget = a.cols() as f32 * maxa * maxw * 2.0 / (127.0 * 100.0);
         for (got, want) in out.data().iter().zip(exact.data()) {
             assert!((got - want).abs() <= budget, "got {got} want {want} budget {budget}");
-        }
-    }
-
-    #[test]
-    fn fused_attn_scores_match_gather_then_unfused_bitwise() {
-        let node_attn = wiggly(7, 4, 11);
-        let rel_attn = wiggly(3, 4, 12);
-        let bias = wiggly(1, 4, 13);
-        let w_a = wiggly(4, 1, 14);
-        let src = [0u32, 6, 2, 2, 5];
-        let ri = [2u32, 0, 1, 2, 0];
-        let mut fused = Matrix::from_fn(5, 1, |_, _| f32::NAN);
-        fused_gather_attn_scores_into(&node_attn, &src, &rel_attn, &ri, &bias, &w_a, &mut fused);
-        let a_s = gather_rows(&node_attn, &src);
-        let a_r = gather_rows(&rel_attn, &ri);
-        let mut unfused = Matrix::from_fn(5, 1, |_, _| f32::NAN);
-        attn_edge_scores_into(&a_s, &a_r, &bias, &w_a, &mut unfused);
-        let got: Vec<u32> = fused.data().iter().map(|x| x.to_bits()).collect();
-        let exp: Vec<u32> = unfused.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, exp);
-    }
-
-    #[test]
-    fn fused_scatter_matches_unfused_chain() {
-        let a = wiggly(6, 5, 21);
-        let b = wiggly(3, 5, 22);
-        let ia = [1u32, 5, 0, 5];
-        let ib = [0u32, 2, 1, 1];
-        let dst = [2u32, 0, 2, 1];
-        let scale = Matrix::col_vector(&[0.5, -1.0, 2.0, 0.25]);
-        let mut fused = Matrix::zeros(3, 5);
-        fused_gather_add_scale_scatter_into(&a, &ia, &b, &ib, Some(&scale), &dst, &mut fused);
-        let summed = gather_rows(&a, &ia).zip_map(&gather_rows(&b, &ib), |x, y| x + y);
-        let want = scatter_add_rows(&mul_col_broadcast(&summed, &scale), &dst, 3);
-        for (got, exp) in fused.data().iter().zip(want.data()) {
-            assert!((got - exp).abs() <= 1e-6, "got {got} want {exp}");
-        }
-
-        let mut plain = Matrix::zeros(3, 5);
-        fused_gather_add_scale_scatter_into(&a, &ia, &b, &ib, None, &dst, &mut plain);
-        let want = scatter_add_rows(&summed, &dst, 3);
-        for (got, exp) in plain.data().iter().zip(want.data()) {
-            assert!((got - exp).abs() <= 1e-6, "got {got} want {exp}");
         }
     }
 
