@@ -49,12 +49,7 @@ pub use rules_concurrency::{
 /// `par` because its work-item indices feed every other crate's id spaces;
 /// `tensor` because the pooled-tape and fused edge-message kernels route
 /// `u32` row indices through every gather/scatter hot path, where a silent
-/// truncation would read or write the wrong row — its i8 quantization
-/// kernels (`quant.rs`) stay under the rule too: the one deliberate
-/// narrowing (`f32 → i8` in `quantize_row_into`, where the rounded+clamped
-/// cast *is* the quantization) carries an annotated
-/// `audit: allow(no-lossy-cast)` site, and every widening on the dequantize
-/// side uses lossless `from` conversions; `dynamic` because its write path
+/// truncation would read or write the wrong row; `dynamic` because its write path
 /// funnels raw client-supplied ids into the graph's `u32` node and relation
 /// spaces.
 const LOSSY_CAST_CRATES: [&str; 6] = ["graph", "ppr", "serve", "par", "tensor", "dynamic"];

@@ -20,7 +20,6 @@
 //! | `fig7_explain` | Figure 7 (learned subgraph visualizations) |
 //! | `ablation_extras` | beyond-paper ablations (activation δ, dropout) |
 //! | `bench_serve` | online serving: latency percentiles, cache hit rate |
-//! | `bench_quant` | f32 vs i8 serving: full-pass throughput, rank overlap |
 //!
 //! All binaries accept `--quick` (fewer epochs, for smoke runs) and print
 //! deterministic output for a fixed seed.

@@ -8,14 +8,10 @@
 //! (`kucnet_dynamic::DynamicService`). This module holds the rest, once:
 //!
 //! - [`build_user_graph`] — the selector dispatch over any [`GraphView`];
-//! - [`FrozenModel`] — config, parameters, the lazily published i8
-//!   companion (DESIGN.md §16), the node layout and the inference pools:
-//!   everything that turns a built graph into per-item scores, in either
-//!   precision.
+//! - [`FrozenModel`] — config, parameters, the node layout and the
+//!   inference pools: everything that turns a built graph into per-item
+//!   scores.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 
 use kucnet_graph::{
@@ -28,7 +24,6 @@ use kucnet_tensor::{MatrixPool, ParamStore, PoolStash};
 use crate::config::{KucNetConfig, SelectorKind};
 use crate::infer::infer_node_logits_pooled;
 use crate::model::KucNetParams;
-use crate::quant::{infer_node_logits_quant, QuantizedParams};
 
 /// Builds `user`'s pruned computation graph over `view` (Algorithm 1).
 ///
@@ -62,9 +57,9 @@ pub fn build_user_graph<G: GraphView>(
     }
 }
 
-/// The weights side of scoring: hyper-parameters, the f32 master
-/// parameters, their lazily built i8 companion, the node layout that maps
-/// final-layer nodes to items, and a stash of warm inference pools.
+/// The weights side of scoring: hyper-parameters, the parameters, the node
+/// layout that maps final-layer nodes to items, and a stash of warm
+/// inference pools.
 ///
 /// KUCNet learns no node embeddings, so the parameters depend only on the
 /// config and the relation vocabulary: every graph source seeded from the
@@ -74,10 +69,6 @@ pub struct FrozenModel {
     layout: SegmentLayout,
     store: ParamStore,
     params: KucNetParams,
-    /// The inference-only i8 companion, built on first use from the f32
-    /// master weights and dropped whenever they change
-    /// ([`FrozenModel::store_mut`]). The f32 store stays authoritative.
-    quant: RwLock<Option<Arc<QuantizedParams>>>,
     pools: PoolStash,
 }
 
@@ -94,7 +85,7 @@ impl FrozenModel {
         let mut store = ParamStore::new();
         let n_relations_total = 2 * n_base_relations as usize + 1;
         let params = KucNetParams::init(&mut store, &config, n_relations_total, rng);
-        Self { config, layout, store, params, quant: RwLock::new(None), pools: PoolStash::new() }
+        Self { config, layout, store, params, pools: PoolStash::new() }
     }
 
     /// The hyper-parameters.
@@ -107,15 +98,13 @@ impl FrozenModel {
         self.layout
     }
 
-    /// The f32 master parameter values.
+    /// The parameter values.
     pub(crate) fn store(&self) -> &ParamStore {
         &self.store
     }
 
-    /// Mutable master weights (training, checkpoint restore). Drops the i8
-    /// companion, which would otherwise go stale.
+    /// Mutable parameter values (training, checkpoint restore).
     pub(crate) fn store_mut(&mut self) -> &mut ParamStore {
-        *self.quant.write() = None;
         &mut self.store
     }
 
@@ -124,50 +113,17 @@ impl FrozenModel {
         &self.params
     }
 
-    /// The current i8 companion, built on first use and shared until the
-    /// master weights change.
-    fn quantized_params(&self) -> Arc<QuantizedParams> {
-        if let Some(qp) = self.quant.read().as_ref() {
-            return Arc::clone(qp);
-        }
-        let built = Arc::new(QuantizedParams::build(&self.store, &self.params, &self.config));
-        let mut slot = self.quant.write();
-        // A racing builder may have beaten us; keep whichever landed first
-        // so every concurrent scorer shares one companion.
-        if let Some(qp) = slot.as_ref() {
-            return Arc::clone(qp);
-        }
-        *slot = Some(Arc::clone(&built));
-        built
-    }
-
-    /// Builds the i8 companion now, so the first quantized request does
-    /// not pay for it. Always succeeds.
-    pub fn prepare_quantized(&self) -> bool {
-        let _ = self.quantized_params();
-        true
-    }
-
-    /// Scores every item over `graph` on the exact f32 path, drawing
-    /// intermediates from the model's own pool stash.
+    /// Scores every item over `graph`, drawing intermediates from the
+    /// model's own pool stash.
     pub(crate) fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-        self.score_graph_pooled(&mut self.pools.checkout(), graph, false)
+        self.score_graph_pooled(&mut self.pools.checkout(), graph)
     }
 
     /// Scores every item over `graph` (indexed by item id; items absent
-    /// from the final layer score 0, per Algorithm 1), on the i8 path when
-    /// `quantized` and the exact f32 path otherwise.
-    pub fn score_graph_pooled(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        quantized: bool,
-    ) -> Vec<f32> {
-        let logits = if quantized {
-            infer_node_logits_quant(pool, &self.quantized_params(), &self.config, graph)
-        } else {
-            infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph)
-        };
+    /// from the final layer score 0, per Algorithm 1), drawing
+    /// intermediates from `pool`.
+    pub fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
+        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
         let mut item_scores = vec![0.0f32; self.layout.n_items as usize];
         if let Some(last) = graph.node_lists.last() {
             for (pos, &node) in last.iter().enumerate() {

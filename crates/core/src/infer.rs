@@ -63,8 +63,7 @@ pub fn infer_node_logits_pooled(
 }
 
 /// ŷ = w^T h (Eq. 7): one logit per final-layer node, releasing `h`.
-/// Shared by both precisions (the i8 path keeps an exact f32 `w`).
-pub(crate) fn readout(pool: &mut MatrixPool, h: Matrix, final_w: &Matrix) -> Vec<f32> {
+fn readout(pool: &mut MatrixPool, h: Matrix, final_w: &Matrix) -> Vec<f32> {
     let mut out = pool.matrix_raw(h.rows(), 1);
     h.matmul_into(final_w, &mut out);
     let logits = out.data().to_vec();
@@ -163,14 +162,9 @@ fn propagate_layer(
     agg
 }
 
-/// The per-layer epilogue both precisions share: mean-in normalization of
-/// the aggregated rows (when configured), then the activation `δ`.
-pub(crate) fn layer_epilogue(
-    pool: &mut MatrixPool,
-    config: &KucNetConfig,
-    dst_pos: &[u32],
-    agg: &mut Matrix,
-) {
+/// The per-layer epilogue: mean-in normalization of the aggregated rows
+/// (when configured), then the activation `δ`.
+fn layer_epilogue(pool: &mut MatrixPool, config: &KucNetConfig, dst_pos: &[u32], agg: &mut Matrix) {
     if config.agg_norm == AggregationNorm::MeanIn {
         let mut indeg = pool.acquire_zeroed(agg.rows());
         for &dst in dst_pos {
@@ -208,11 +202,6 @@ pub(crate) fn layer_epilogue(
 /// (cheap, depends on the current parameters). `kucnet-serve` caches the
 /// former per user and calls the latter per request.
 ///
-/// Precision is a per-call argument of
-/// [`score_graph_pooled`](ScoreService::score_graph_pooled), not a separate
-/// path: [`prepare_quantized`](ScoreService::prepare_quantized) is the one
-/// signal that a service has an i8 path at all.
-///
 /// [`build_user_graph`]: ScoreService::build_user_graph
 /// [`score_graph`]: ScoreService::score_graph
 pub trait ScoreService: Send + Sync {
@@ -229,33 +218,17 @@ pub trait ScoreService: Send + Sync {
     /// scratch (no internal caching — callers own memoization policy).
     fn build_user_graph(&self, user: UserId) -> Arc<LayeredGraph>;
 
-    /// Scores every item for the user `graph` was built for on the exact
-    /// f32 path (indexed by `ItemId.0`; items absent from the final layer
-    /// score 0).
+    /// Scores every item for the user `graph` was built for (indexed by
+    /// `ItemId.0`; items absent from the final layer score 0).
     fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32>;
 
     /// [`score_graph`](ScoreService::score_graph) drawing intermediates from
-    /// a caller-held pool, on the i8 path (DESIGN.md §16) when `quantized`.
-    /// The default ignores the pool and the precision; model-backed
+    /// a caller-held pool. The default ignores the pool; model-backed
     /// services override it so batch scorers that keep one warm pool per
-    /// worker avoid all per-request allocation. With `quantized == false`
-    /// it must return exactly what `score_graph` would.
-    fn score_graph_pooled(
-        &self,
-        _pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        _quantized: bool,
-    ) -> Vec<f32> {
+    /// worker avoid all per-request allocation. It must return exactly what
+    /// `score_graph` would.
+    fn score_graph_pooled(&self, _pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
         self.score_graph(graph)
-    }
-
-    /// Builds (or refreshes) the quantized weight companion from the
-    /// current f32 master weights and reports whether the service has an
-    /// i8 path. The registry calls this at model load / hot-swap time so
-    /// toggling a variant to the quantized path is instant, and refuses the
-    /// toggle when it returns `false` (the default).
-    fn prepare_quantized(&self) -> bool {
-        false
     }
 
     /// Convenience: build the graph and score it in one call.

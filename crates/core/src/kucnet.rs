@@ -405,17 +405,8 @@ impl ScoreService for KucNet {
         KucNet::score_graph(self, graph)
     }
 
-    fn score_graph_pooled(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        quantized: bool,
-    ) -> Vec<f32> {
-        self.model.score_graph_pooled(pool, graph, quantized)
-    }
-
-    fn prepare_quantized(&self) -> bool {
-        self.model.prepare_quantized()
+    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
+        self.model.score_graph_pooled(pool, graph)
     }
 
     fn explain_item(

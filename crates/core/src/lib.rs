@@ -35,7 +35,6 @@ mod frozen;
 mod infer;
 mod kucnet;
 mod model;
-mod quant;
 mod sharded;
 mod variants;
 
@@ -47,6 +46,5 @@ pub use kucnet::KucNet;
 pub use model::{
     forward, score_logits, BoundLayer, BoundParams, ForwardOutput, KucNetParams, LayerParamIds,
 };
-pub use quant::{infer_node_logits_quant, QuantLayer, QuantizedParams};
 pub use sharded::ShardService;
 pub use variants::{score_items_pairwise, score_pair, ui_comparison_config, PairScore};

@@ -177,17 +177,8 @@ impl ScoreService for ShardService {
         self.model.score_graph(graph)
     }
 
-    fn score_graph_pooled(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        quantized: bool,
-    ) -> Vec<f32> {
-        self.model.score_graph_pooled(pool, graph, quantized)
-    }
-
-    fn prepare_quantized(&self) -> bool {
-        self.model.prepare_quantized()
+    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
+        self.model.score_graph_pooled(pool, graph)
     }
 }
 
@@ -232,18 +223,5 @@ mod tests {
         let scores = svc.score_user(UserId(999_999));
         assert_eq!(scores.len(), svc.n_items());
         assert!(scores.iter().all(|&s| s == 0.0));
-    }
-
-    #[test]
-    fn quantized_path_is_finite_and_dense() {
-        let (_, sharded, config) = small_sharded(SelectorKind::PprTopK);
-        let svc = ShardService::for_shard(config, &sharded, 1);
-        assert!(svc.prepare_quantized());
-        let mut pool = MatrixPool::default();
-        let user = svc.user_index.first().map(|&(u, _)| UserId(u)).unwrap();
-        let graph = svc.build_user_graph(user);
-        let scores = svc.score_graph_pooled(&mut pool, &graph, true);
-        assert_eq!(scores.len(), svc.n_items());
-        assert!(scores.iter().all(|s| s.is_finite()));
     }
 }

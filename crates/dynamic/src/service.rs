@@ -13,8 +13,8 @@
 //! `KucNet::build_graph` runs, with adjacency and PPR entries sourced from
 //! the snapshot, so on an unchanged graph the built subgraphs (and
 //! therefore the scores) are bitwise identical to the static model's.
-//! Scoring goes through the model's `FrozenModel`, so the i8 path serves
-//! dynamic graphs too.
+//! Scoring goes through the model's `FrozenModel`, the same scorer the
+//! static and sharded services use.
 
 use std::sync::Arc;
 
@@ -91,17 +91,8 @@ impl ScoreService for DynamicService {
         self.model.score_graph(graph)
     }
 
-    fn score_graph_pooled(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        quantized: bool,
-    ) -> Vec<f32> {
-        self.model.frozen().score_graph_pooled(pool, graph, quantized)
-    }
-
-    fn prepare_quantized(&self) -> bool {
-        self.model.frozen().prepare_quantized()
+    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
+        self.model.frozen().score_graph_pooled(pool, graph)
     }
 
     fn graph_context(&self) -> Box<dyn GraphContext + '_> {

@@ -491,7 +491,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 // before reaching this line).
                 ctx.registry.record_cache(variant, hit);
                 let warm_started = Instant::now();
-                let scores = model.service().score_graph_pooled(pool, &graph, model.quantized());
+                let scores = model.service().score_graph_pooled(pool, &graph);
                 ctx.stage_warm.record(micros(warm_started.elapsed()));
                 scores
             },

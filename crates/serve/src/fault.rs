@@ -187,14 +187,9 @@ impl ScoreService for FaultyService {
         self.inner.score_graph(graph)
     }
 
-    fn score_graph_pooled(
-        &self,
-        pool: &mut MatrixPool,
-        graph: &LayeredGraph,
-        quantized: bool,
-    ) -> Vec<f32> {
+    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
         self.roll(graph.root.0, self.config.score_panic_rate);
-        self.inner.score_graph_pooled(pool, graph, quantized)
+        self.inner.score_graph_pooled(pool, graph)
     }
 
     fn explain_item(

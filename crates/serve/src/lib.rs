@@ -115,11 +115,6 @@ pub struct ServeConfig {
     /// sharing a seed assign users to variants identically across restarts
     /// and replicas.
     pub ab_seed: u64,
-    /// Start every variant that supports it on the quantized (i8) scoring
-    /// path instead of f32. Variants without a quantized companion keep
-    /// serving f32; the flag can be flipped per variant at runtime via
-    /// `POST /admin/ab` (`"quant.<variant>": 0|1`).
-    pub quantized: bool,
 }
 
 impl Default for ServeConfig {
@@ -135,7 +130,6 @@ impl Default for ServeConfig {
             max_queue_depth: 1024,
             io_timeout: Duration::from_secs(10),
             ab_seed: 0x5EED_AB00,
-            quantized: false,
         }
     }
 }

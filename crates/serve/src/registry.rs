@@ -25,13 +25,10 @@
 //! **Lock discipline**: the registry owns exactly one lock kind (the
 //! per-variant slot `RwLock`). Every update of a slot is one
 //! read-modify-write under its write lock, with the new version taken
-//! inside the lock, so concurrent reloads and precision toggles never lose
-//! each other's changes and versions publish in order. Several slots are
-//! only ever locked together by [`ModelRegistry::set_quantized_many`], in
-//! ascending variant order. No graph, cache, or scoring code runs under a
-//! slot lock — the one slow step, `prepare_quantized`, runs before it — so
-//! a reload cannot interact with `kucnet-dynamic`'s tick mutex (DESIGN.md
-//! §15).
+//! inside the lock, so concurrent reloads publish their versions in order.
+//! No two slots are ever locked together, and no graph, cache, or scoring
+//! code runs under a slot lock, so a reload cannot interact with
+//! `kucnet-dynamic`'s tick mutex (DESIGN.md §15).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,10 +46,6 @@ pub struct PinnedModel {
     variant: usize,
     name: Arc<str>,
     version: u64,
-    quantized: bool,
-    /// What `prepare_quantized` reported when `service` was published:
-    /// whether it has an i8 path a toggle may switch to.
-    quantizable: bool,
     service: Arc<dyn ScoreService>,
 }
 
@@ -70,14 +63,6 @@ impl PinnedModel {
     /// Globally unique model version (monotonic across all variants).
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Whether this generation serves the quantized (i8) scoring path.
-    /// Stamped into the pin — never mutated — so a precision toggle is a
-    /// republish under a **new version**, and every cached subgraph keyed
-    /// by the old version goes stale with it.
-    pub fn quantized(&self) -> bool {
-        self.quantized
     }
 
     /// The scoring service of this generation.
@@ -161,16 +146,11 @@ impl ModelRegistry {
             self.n_users = service.n_users();
             self.n_items = service.n_items();
         }
-        // Quantize the master weights at load time so both precisions are
-        // carried by the pin from the start; serving still begins on f32.
-        let quantizable = service.prepare_quantized();
         let variant = self.variants.len();
         let pinned = Arc::new(PinnedModel {
             variant,
             name: Arc::from(name),
             version: self.take_version(),
-            quantized: false,
-            quantizable,
             service,
         });
         self.variants.push(VariantState {
@@ -252,17 +232,13 @@ impl ModelRegistry {
 
     /// Atomically publishes `service` as the new generation of variant
     /// `name` and returns its globally unique version. Dimension-checked
-    /// against the registry's id spaces. The variant keeps its precision
-    /// choice across the swap when the new service has an i8 path (one
-    /// without falls back to f32). The incoming weights are quantized
-    /// before the slot write lock is taken, and the lock is held only for
-    /// the read-modify-write of the slot — never across any graph, cache,
-    /// or scoring call — so a reload can neither block nor deadlock against
-    /// in-flight batches or a dynamic `refresh_tick`.
+    /// against the registry's id spaces. The slot write lock is held only
+    /// for the read-modify-write of the slot — never across any graph,
+    /// cache, or scoring call — so a reload can neither block nor deadlock
+    /// against in-flight batches or a dynamic `refresh_tick`.
     pub fn reload(&self, name: &str, service: Arc<dyn ScoreService>) -> Result<u64, String> {
         let variant = self.index_of(name)?;
         self.check_dims(&service)?;
-        let quantizable = service.prepare_quantized();
         #[cfg(test)]
         tests::before_slot_write();
         let mut slot = self.variants[variant].slot.write();
@@ -270,8 +246,6 @@ impl ModelRegistry {
             variant,
             name: Arc::clone(&slot.name),
             version: self.take_version(),
-            quantized: quantizable && slot.quantized,
-            quantizable,
             service,
         };
         let version = pinned.version;
@@ -279,77 +253,6 @@ impl ModelRegistry {
         drop(slot);
         saturating_inc(&self.swaps_total);
         Ok(version)
-    }
-
-    /// Switches variant `name` between the f32 and quantized scoring paths
-    /// and returns the version now live. A toggle republishes the *same*
-    /// service under a **new global version** (taken from the shared
-    /// counter), so every `CacheVersion{model, graph}`-stamped subgraph
-    /// keyed under the old version goes stale and is rebuilt. Setting the
-    /// flag to its current value is a no-op that returns the live version
-    /// unchanged. Not counted in `swaps_total`: the model generation did not
-    /// change, only its execution path. Fails for an unknown variant or when
-    /// asking for quantized serving from a service without a quantized path.
-    pub fn set_quantized(&self, name: &str, on: bool) -> Result<u64, String> {
-        let variant = self.index_of(name)?;
-        #[cfg(test)]
-        tests::before_slot_write();
-        self.republish(&mut self.variants[variant].slot.write(), on)
-    }
-
-    /// The read-modify-write behind a precision toggle, run by a caller
-    /// holding `slot`'s write lock.
-    fn republish(&self, slot: &mut Arc<PinnedModel>, on: bool) -> Result<u64, String> {
-        if slot.quantized == on {
-            return Ok(slot.version);
-        }
-        if on && !slot.quantizable {
-            return Err(format!("variant `{}` has no quantized scoring path", slot.name));
-        }
-        let version = self.take_version();
-        *slot = Arc::new(PinnedModel {
-            variant: slot.variant,
-            name: Arc::clone(&slot.name),
-            version,
-            quantized: on,
-            quantizable: slot.quantizable,
-            service: Arc::clone(&slot.service),
-        });
-        Ok(version)
-    }
-
-    /// Atomically applies a batch of precision toggles: every name must be a
-    /// registered variant and every `on` request must target a service with
-    /// a quantized path, or nothing is changed (same all-or-nothing contract
-    /// as [`set_weights`](ModelRegistry::set_weights)). A name listed twice
-    /// takes its last value. The affected slots are write-locked together,
-    /// in ascending variant order, for both the check and the update.
-    pub fn set_quantized_many(&self, pairs: &[(String, bool)]) -> Result<(), String> {
-        let mut wanted = pairs
-            .iter()
-            .map(|(name, on)| Ok((self.index_of(name)?, *on)))
-            .collect::<Result<Vec<(usize, bool)>, String>>()?;
-        // The stable sort keeps each variant's requests in reverse order, so
-        // the dedup keeps the last one.
-        wanted.reverse();
-        wanted.sort_by_key(|&(variant, _)| variant);
-        wanted.dedup_by_key(|&mut (variant, _)| variant);
-        let mut slots: Vec<_> =
-            wanted.iter().map(|&(variant, _)| self.variants[variant].slot.write()).collect();
-        for (slot, &(_, on)) in slots.iter().zip(&wanted) {
-            if on && !slot.quantizable {
-                return Err(format!("variant `{}` has no quantized scoring path", slot.name));
-            }
-        }
-        for (slot, &(_, on)) in slots.iter_mut().zip(&wanted) {
-            self.republish(slot, on)?;
-        }
-        Ok(())
-    }
-
-    /// Current `(name, quantized)` of every variant, in registration order.
-    pub fn quantized_flags(&self) -> Vec<(String, bool)> {
-        self.variants.iter().map(|v| (v.name.clone(), v.slot.read().quantized)).collect()
     }
 
     /// Replaces the routing weights. Every name must be a registered
@@ -416,17 +319,13 @@ impl ModelRegistry {
         line("kucnet_variants".to_string(), self.variants.len().to_string());
         for v in &self.variants {
             let prefix = format!("kucnet_variant_{}", v.name);
-            let (version, quantized) = {
-                let slot = v.slot.read();
-                (slot.version, slot.quantized)
-            };
+            let version = v.slot.read().version;
             let hits = v.cache_hits.load(Ordering::Relaxed);
             let misses = v.cache_misses.load(Ordering::Relaxed);
             let total = hits.saturating_add(misses);
             let hit_rate = if total == 0 { 0.0 } else { hits as f64 / total as f64 };
             line(format!("{prefix}_weight"), v.weight.load(Ordering::Relaxed).to_string());
             line(format!("{prefix}_model_version"), version.to_string());
-            line(format!("{prefix}_quantized"), u64::from(quantized).to_string());
             line(format!("{prefix}_requests"), v.requests.load(Ordering::Relaxed).to_string());
             line(format!("{prefix}_cache_hits"), hits.to_string());
             line(format!("{prefix}_cache_misses"), misses.to_string());
@@ -522,8 +421,8 @@ mod tests {
         static RACE: RefCell<Option<Box<dyn FnOnce()>>> = RefCell::new(None);
     }
 
-    /// The seam `reload` and `set_quantized` pass just before taking the
-    /// slot write lock: runs (once) the interleaving a test armed.
+    /// The seam `reload` passes just before taking the slot write lock:
+    /// runs (once) the interleaving a test armed.
     pub(super) fn before_slot_write() {
         if let Some(race) = RACE.with(|r| r.borrow_mut().take()) {
             race();
@@ -569,46 +468,6 @@ mod tests {
 
     fn stub(tag: u32) -> Arc<dyn ScoreService> {
         Arc::new(Stub { tag, n_users: 16, n_items: 8 })
-    }
-
-    /// A stub whose quantized path exists; counts `prepare_quantized` calls.
-    struct QuantStub {
-        inner: Stub,
-        prepares: AtomicU64,
-    }
-
-    impl ScoreService for QuantStub {
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-
-        fn n_users(&self) -> usize {
-            self.inner.n_users()
-        }
-
-        fn n_items(&self) -> usize {
-            self.inner.n_items()
-        }
-
-        fn build_user_graph(&self, user: UserId) -> Arc<LayeredGraph> {
-            self.inner.build_user_graph(user)
-        }
-
-        fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-            self.inner.score_graph(graph)
-        }
-
-        fn prepare_quantized(&self) -> bool {
-            saturating_inc(&self.prepares);
-            true
-        }
-    }
-
-    fn quant_stub(tag: u32) -> Arc<QuantStub> {
-        Arc::new(QuantStub {
-            inner: Stub { tag, n_users: 16, n_items: 8 },
-            prepares: AtomicU64::new(0),
-        })
     }
 
     #[test]
@@ -702,99 +561,26 @@ mod tests {
     }
 
     #[test]
-    fn quantized_toggle_republishes_under_a_new_version_without_counting_a_swap() {
-        let qs = quant_stub(0);
-        let mut r = ModelRegistry::new(0);
-        r.register("a", 100, Arc::clone(&qs) as Arc<dyn ScoreService>).unwrap();
-        assert_eq!(qs.prepares.load(Ordering::Relaxed), 1, "quantized at load time");
-        assert!(!r.pin().models()[0].quantized(), "serving starts on f32");
-        let v = r.set_quantized("a", true).unwrap();
-        assert_eq!(v, 2, "a toggle takes a fresh global version");
-        assert!(r.pin().models()[0].quantized());
-        assert_eq!(r.set_quantized("a", true).unwrap(), 2, "no-op keeps the live version");
-        assert_eq!(r.swaps_total(), 0, "a precision flip is not a model swap");
-        assert_eq!(r.quantized_flags(), vec![("a".to_string(), true)]);
-        let back = r.set_quantized("a", false).unwrap();
-        assert_eq!(back, 3);
-        assert!(!r.pin().models()[0].quantized());
-    }
-
-    #[test]
-    fn quantized_toggle_rejects_services_without_a_quantized_path() {
+    fn a_reload_landing_inside_a_reload_publishes_in_version_order() {
+        // Each reload takes its version inside the slot write lock, so the
+        // one that publishes last carries the highest version: the live
+        // version never moves backwards and neither swap goes uncounted.
         let mut r = ModelRegistry::new(0);
         r.register("a", 100, stub(0)).unwrap();
-        assert!(r.set_quantized("a", true).is_err());
-        assert_eq!(r.set_quantized("a", false).unwrap(), 1, "f32 is always allowed");
-        assert!(r.set_quantized("nope", true).is_err());
-    }
-
-    #[test]
-    fn reload_preserves_the_precision_flag_when_the_new_service_supports_it() {
-        let mut r = ModelRegistry::new(0);
-        r.register("a", 100, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
-        r.set_quantized("a", true).unwrap();
-        r.reload("a", quant_stub(1) as Arc<dyn ScoreService>).unwrap();
-        assert!(r.pin().models()[0].quantized(), "swap keeps the quantized path live");
-        r.reload("a", stub(2)).unwrap();
-        assert!(!r.pin().models()[0].quantized(), "f32-only service falls back to f32");
-    }
-
-    #[test]
-    fn a_reload_landing_inside_a_toggle_is_not_lost() {
-        // Regression: `set_quantized` read the slot, then published a pin
-        // built from the service it had read, so a reload landing in
-        // between was silently reverted (yet counted in `swaps_total`).
-        let mut r = ModelRegistry::new(0);
-        r.register("a", 100, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
         let r = Arc::new(r);
         let racer = Arc::clone(&r);
         arm_race(move || {
-            racer.reload("a", quant_stub(1) as Arc<dyn ScoreService>).unwrap();
+            assert_eq!(racer.reload("a", stub(1)).unwrap(), 2);
         });
-        assert_eq!(r.set_quantized("a", true).unwrap(), 3, "the toggle publishes after the reload");
-        let pin = r.pin();
-        let live = &pin.models()[0];
-        assert_eq!(live.service().name(), "stub1", "the racing reload must survive the toggle");
-        assert!(live.quantized(), "the toggle must apply to the reloaded service");
-        assert_eq!((live.version(), r.swaps_total()), (3, 1));
-    }
-
-    #[test]
-    fn a_toggle_landing_inside_a_reload_is_not_lost() {
-        // The mirror race: `reload` read the precision flag, then published,
-        // so a toggle landing in between was reverted.
-        let mut r = ModelRegistry::new(0);
-        r.register("a", 100, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
-        let r = Arc::new(r);
-        let racer = Arc::clone(&r);
-        arm_race(move || {
-            racer.set_quantized("a", true).unwrap();
-        });
-        assert_eq!(r.reload("a", quant_stub(1) as Arc<dyn ScoreService>).unwrap(), 3);
-        let pin = r.pin();
-        let live = &pin.models()[0];
-        assert_eq!(live.service().name(), "stub1");
-        assert!(live.quantized(), "the racing toggle must survive the reload");
-        assert_eq!((live.version(), r.swaps_total()), (3, 1));
-    }
-
-    #[test]
-    fn set_quantized_many_is_all_or_nothing() {
-        let mut r = ModelRegistry::new(0);
-        r.register("a", 50, quant_stub(0) as Arc<dyn ScoreService>).unwrap();
-        r.register("b", 50, stub(1)).unwrap();
-        let err = r.set_quantized_many(&[("a".to_string(), true), ("b".to_string(), true)]);
-        assert!(err.is_err());
         assert_eq!(
-            r.quantized_flags(),
-            vec![("a".to_string(), false), ("b".to_string(), false)],
-            "a rejected batch must not half-apply"
+            r.reload("a", stub(2)).unwrap(),
+            3,
+            "the outer reload publishes after the racer"
         );
-        r.set_quantized_many(&[("a".to_string(), true), ("b".to_string(), false)]).unwrap();
-        assert_eq!(r.quantized_flags(), vec![("a".to_string(), true), ("b".to_string(), false)]);
-        // A name listed twice takes its last value.
-        r.set_quantized_many(&[("a".to_string(), false), ("a".to_string(), true)]).unwrap();
-        assert_eq!(r.quantized_flags()[0], ("a".to_string(), true));
+        let pin = r.pin();
+        let live = &pin.models()[0];
+        assert_eq!(live.service().name(), "stub2", "the last publish is live");
+        assert_eq!((live.version(), r.swaps_total()), (3, 2));
     }
 
     #[test]
@@ -813,7 +599,6 @@ mod tests {
             "kucnet_variants 2",
             "kucnet_variant_control_weight 90",
             "kucnet_variant_control_model_version 1",
-            "kucnet_variant_control_quantized 0",
             "kucnet_variant_control_requests 1",
             "kucnet_variant_control_cache_hits 1",
             "kucnet_variant_control_cache_misses 1",

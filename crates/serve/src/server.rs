@@ -8,7 +8,7 @@
 //! | `/recommend`      | POST   | `{"user": <id>, "top_k": <k>}`          |
 //! | `/explain`        | POST   | `{"user": u, "item": i, "threshold_milli": t}` |
 //! | `/admin/reload`   | POST   | `{"variant": "<name>", "path": "<ckpt>"}` |
-//! | `/admin/ab`       | POST   | `{"<variant>": <w>, "quant.<variant>": 0|1, ...}` |
+//! | `/admin/ab`       | POST   | `{"<variant>": <weight>, ...}`          |
 //! | `/healthz`        | GET    | —                                       |
 //! | `/metrics`        | GET    | —                                       |
 //!
@@ -18,9 +18,8 @@
 //! it. `/explain` returns the attention-path explanation (Graphviz DOT +
 //! text) for one `(user, item)` pair on the live model. `/admin/reload`
 //! hot-swaps a variant's model from a checkpoint with zero downtime, and
-//! `/admin/ab` replaces the routing weights and/or flips variants between
-//! the f32 and quantized scoring paths (`"quant.<variant>": 0|1`, applied
-//! all-or-nothing with the weights). Invalid input (bad JSON,
+//! `/admin/ab` replaces the routing weights (all-or-nothing: an unknown
+//! variant name changes nothing). Invalid input (bad JSON,
 //! unknown fields, out-of-range `top_k`) is a 400 and an out-of-range user
 //! id a 404 — never a panic. Shutdown is graceful: the listener stops
 //! accepting, in-flight connections finish, and the batcher drains before
@@ -133,13 +132,6 @@ impl Server {
                 std::io::ErrorKind::InvalidInput,
                 "the model registry has no variants registered",
             ));
-        }
-        if config.quantized {
-            // Opt every capable variant into the quantized path before any
-            // traffic lands; variants without an i8 companion keep f32.
-            for (name, _) in registry.weights() {
-                let _ = registry.set_quantized(&name, true);
-            }
         }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -524,13 +516,9 @@ fn handle_reload(body: &[u8], shared: &Shared) -> Result<String, ServeError> {
     ))
 }
 
-/// Validates a `POST /admin/ab` body (`{"<variant>": <weight>,
-/// "quant.<variant>": 0|1, ...}`) and atomically applies it: plain keys
-/// replace routing weights, `quant.`-prefixed keys flip the named variant
-/// between the f32 (`0`) and quantized (`1`) scoring paths. Everything is
-/// validated before anything is applied, so a bad key or an unsupported
-/// precision request leaves both the weights and the precision flags
-/// untouched.
+/// Validates a `POST /admin/ab` body (`{"<variant>": <weight>, ...}`) and
+/// atomically applies it: every name must be a registered variant, or no
+/// weight changes.
 fn handle_ab(body: &[u8], shared: &Shared) -> Result<String, ServeError> {
     let pairs = parse_flat_u64_json(body)?;
     if pairs.is_empty() {
@@ -538,43 +526,13 @@ fn handle_ab(body: &[u8], shared: &Shared) -> Result<String, ServeError> {
             "body must map at least one variant name to a weight".to_string(),
         ));
     }
-    let mut weight_pairs: Vec<(String, u64)> = Vec::new();
-    let mut quant_pairs: Vec<(String, bool)> = Vec::new();
-    for (key, value) in pairs {
-        if let Some(variant) = key.strip_prefix("quant.") {
-            if value > 1 {
-                return Err(ServeError::BadRequest(format!(
-                    "`{key}` must be 0 (f32) or 1 (quantized)"
-                )));
-            }
-            quant_pairs.push((variant.to_string(), value == 1));
-        } else {
-            weight_pairs.push((key, value));
-        }
-    }
-    // Pre-validate the weight names so a late weight failure cannot land
-    // after the precision toggles already applied.
-    let known = shared.registry.weights();
-    for (name, _) in &weight_pairs {
-        if !known.iter().any(|(n, _)| n == name) {
-            return Err(ServeError::BadRequest(format!("unknown variant `{name}`")));
-        }
-    }
-    shared.registry.set_quantized_many(&quant_pairs).map_err(ServeError::BadRequest)?;
-    shared.registry.set_weights(&weight_pairs).map_err(ServeError::BadRequest)?;
+    shared.registry.set_weights(&pairs).map_err(ServeError::BadRequest)?;
     let mut body = String::from("{\"op\":\"ab\",\"weights\":{");
     for (i, (name, weight)) in shared.registry.weights().iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
         body.push_str(&format!("\"{}\":{weight}", json_escape(name)));
-    }
-    body.push_str("},\"quantized\":{");
-    for (i, (name, on)) in shared.registry.quantized_flags().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("\"{}\":{}", json_escape(name), u64::from(*on)));
     }
     body.push_str("}}");
     Ok(body)

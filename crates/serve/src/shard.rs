@@ -48,11 +48,6 @@ impl ShardRouter {
         let mut shards = Vec::with_capacity(services.len());
         for service in services {
             let registry = Arc::new(ModelRegistry::single(service, config.ab_seed));
-            if config.quantized {
-                for (name, _) in registry.weights() {
-                    let _ = registry.set_quantized(&name, true);
-                }
-            }
             let cache = Arc::new(SubgraphCache::new(config.cache_capacity));
             let batcher = Batcher::start(Arc::clone(&registry), Arc::clone(&cache), config);
             shards.push(ShardHandle { registry, cache, batcher });

@@ -194,7 +194,7 @@ fn admin_ab_rebalances_routing_and_metrics_report_weights() {
     }
 
     // Invalid updates are 400s and leave weights untouched.
-    for bad in ["{}", "{\"nope\": 10}", "not json"] {
+    for bad in ["{}", "{\"nope\": 10}", "{\"quant.control\": 1}", "not json"] {
         let resp = post(addr, "/admin/ab", bad);
         assert_eq!(resp.status, 400, "body {bad:?}: {}", resp.body);
     }

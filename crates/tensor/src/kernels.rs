@@ -7,6 +7,11 @@
 //! tape there would allocate a node, a value slot, and a gradient slot per
 //! op per request for gradients nobody reads. These kernels run the exact
 //! same arithmetic with zero bookkeeping.
+//!
+//! The two `fused_*` kernels are the per-edge half of the node-level
+//! forward (DESIGN.md §11): once the message and attention projections
+//! have run over the node rows and the relation table, each edge only
+//! gathers two precomputed rows, adds, scales and scatters.
 
 use crate::matrix::Matrix;
 
@@ -74,134 +79,6 @@ pub fn mul_col_broadcast(m: &Matrix, col: &Matrix) -> Matrix {
     out
 }
 
-/// Gathers rows of `m` into `out` (row `k` of `out` becomes row
-/// `indices[k]` of `m`), overwriting every row of `out` without the
-/// zero-fill [`gather_rows`] pays. `out` may hold stale pooled data.
-///
-/// # Panics
-/// Panics if `out` is not `indices.len() x m.cols()` or an index is out of
-/// range.
-pub fn gather_rows_into(m: &Matrix, indices: &[u32], out: &mut Matrix) {
-    assert_eq!(out.shape(), (indices.len(), m.cols()), "gather_rows_into output shape mismatch");
-    for (k, &i) in indices.iter().enumerate() {
-        out.row_mut(k).copy_from_slice(m.row(i as usize));
-    }
-}
-
-/// Scatter-adds rows of `m` into `out`: row `k` of `m` is added into output
-/// row `indices[k]`. Unlike [`scatter_add_rows`] the caller owns (and has
-/// already initialized) the accumulator, so repeated calls can target one
-/// pooled buffer.
-///
-/// # Panics
-/// Panics if `out.cols() != m.cols()` or an index is `>= out.rows()`.
-pub fn scatter_add_rows_into(m: &Matrix, indices: &[u32], out: &mut Matrix) {
-    assert_eq!(out.cols(), m.cols(), "scatter_add_rows_into width mismatch");
-    assert_eq!(indices.len(), m.rows(), "one index per input row required");
-    for (k, &i) in indices.iter().enumerate() {
-        let dst = out.row_mut(i as usize);
-        for (d, &s) in dst.iter_mut().zip(m.row(k)) {
-            *d += s;
-        }
-    }
-}
-
-/// Writes `a + b` elementwise into `out`, overwriting stale contents.
-///
-/// # Panics
-/// Panics if the three shapes differ.
-pub fn add_elementwise_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.shape(), b.shape(), "add_elementwise_into shape mismatch");
-    assert_eq!(a.shape(), out.shape(), "add_elementwise_into output shape mismatch");
-    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
-        *o = x + y;
-    }
-}
-
-/// Fused `gather_rows(a, ia) + gather_rows(b, ib)` written into `out`
-/// (every element overwritten): one pass, no edge-sized intermediates.
-/// Accumulation order per element (`a` term first) matches the unfused
-/// chain bitwise.
-///
-/// # Panics
-/// Panics on shape or index-bound mismatches.
-pub fn gather_pair_add_into(a: &Matrix, ia: &[u32], b: &Matrix, ib: &[u32], out: &mut Matrix) {
-    assert_eq!(a.cols(), b.cols(), "gather_pair_add_into width mismatch");
-    assert_eq!(ia.len(), ib.len(), "gather_pair_add_into index-count mismatch");
-    assert_eq!(out.shape(), (ia.len(), a.cols()), "gather_pair_add_into output shape mismatch");
-    for (k, (&i, &j)) in ia.iter().zip(ib).enumerate() {
-        let (ra, rb) = (a.row(i as usize), b.row(j as usize));
-        for ((o, &x), &y) in out.row_mut(k).iter_mut().zip(ra).zip(rb) {
-            *o = x + y;
-        }
-    }
-}
-
-/// Fused per-edge attention score written into the `E x 1` matrix `out`
-/// (every element overwritten):
-/// `sigmoid(relu((a_s + a_r) + bias) * w_a)` in a single pass over the edge
-/// rows, with the same per-element accumulation order as the unfused chain
-/// so results stay bitwise-identical.
-///
-/// # Panics
-/// Panics on any shape mismatch.
-pub fn attn_edge_scores_into(
-    a_s: &Matrix,
-    a_r: &Matrix,
-    bias: &Matrix,
-    w_a: &Matrix,
-    out: &mut Matrix,
-) {
-    let (e, da) = a_s.shape();
-    assert_eq!(a_r.shape(), (e, da), "attn_edge_scores_into a_r shape mismatch");
-    assert_eq!(bias.shape(), (1, da), "attn_edge_scores_into bias shape mismatch");
-    assert_eq!(w_a.shape(), (da, 1), "attn_edge_scores_into w_a shape mismatch");
-    assert_eq!(out.shape(), (e, 1), "attn_edge_scores_into output shape mismatch");
-    let bias_row = bias.row(0);
-    let wv = w_a.data();
-    for k in 0..e {
-        let (rs, rr) = (a_s.row(k), a_r.row(k));
-        let mut z = 0.0f32;
-        for j in 0..da {
-            let pre = (rs[j] + rr[j]) + bias_row[j];
-            z += pre.max(0.0) * wv[j];
-        }
-        out.data_mut()[k] = crate::tape::stable_sigmoid(z);
-    }
-}
-
-/// Fused `scatter_add_rows(mul_col_broadcast(m, scale), indices)` into a
-/// caller-owned accumulator `out` (which the caller must have initialized —
-/// typically to zero): one pass, no edge-sized scaled intermediate. With
-/// `scale = None` this is exactly [`scatter_add_rows_into`].
-///
-/// # Panics
-/// Panics on shape or index-bound mismatches.
-pub fn scale_scatter_add_rows_into(
-    m: &Matrix,
-    scale: Option<&Matrix>,
-    indices: &[u32],
-    out: &mut Matrix,
-) {
-    let (e, c) = m.shape();
-    assert_eq!(out.cols(), c, "scale_scatter_add_rows_into width mismatch");
-    assert_eq!(indices.len(), e, "one index per input row required");
-    if let Some(s) = scale {
-        assert_eq!(s.shape(), (e, 1), "scale_scatter_add_rows_into scale shape mismatch");
-    }
-    for (k, &i) in indices.iter().enumerate() {
-        let sv = scale.map(|s| s.get(k, 0));
-        let dst = out.row_mut(i as usize);
-        for (d, &x) in dst.iter_mut().zip(m.row(k)) {
-            let mut v = x;
-            if let Some(s) = sv {
-                v *= s;
-            }
-            *d += v;
-        }
-    }
-}
-
 /// Multiplies every row `r` of `m` in place by `scale[r]`. The in-place
 /// update computes the same per-element product as
 /// [`mul_col_broadcast`], without the clone.
@@ -220,10 +97,9 @@ pub fn scale_rows_in_place(m: &mut Matrix, scale: &[f32]) {
 /// Fused per-edge attention score over **precomputed** projections: edge `k`
 /// reads row `src[k]` of `node_attn` (`n×da`) and row `ri[k]` of `rel_attn`
 /// (`R×da`) and writes
-/// `sigmoid(Σ_j relu(node + rel + bias) * w_a)` into `out[k]` — the same
-/// arithmetic as [`attn_edge_scores_into`](crate::attn_edge_scores_into)
-/// after a gather, in one streaming pass with no `E×da` intermediates. The
-/// inner loop has a fixed trip count `da` over contiguous rows.
+/// `sigmoid(Σ_j relu(node + rel + bias) * w_a)` into `out[k]` (every element
+/// overwritten). Bitwise identical to the tape's `gather_rows` ×2 →
+/// `attn_edge_score`, in one streaming pass with no `E×da` intermediates.
 ///
 /// # Panics
 /// Panics on shape or index-count mismatches.
@@ -258,10 +134,11 @@ pub fn fused_gather_attn_scores_into(
 /// Fused gather + add + scale + scatter over **precomputed** per-node and
 /// per-relation messages: edge `k` adds
 /// `scale[k] * (a.row(ia[k]) + b.row(ib[k]))` into `out.row(dst[k])`
-/// (`scale = None` means a unit scale). The caller owns — and has already
-/// initialized, typically to zero — the accumulator. One streaming pass,
-/// no `E×d` intermediates; the inner loop runs over three contiguous rows
-/// with a fixed trip count of `d`.
+/// (`scale = None` means a unit scale, which is exact: `1.0 · x = x`). The
+/// caller owns — and has already initialized, typically to zero — the
+/// accumulator. Bitwise identical to the tape's `gather_pair_add` →
+/// `scale_mask_scatter_add` without a mask, in one streaming pass with no
+/// `E×d` intermediates.
 ///
 /// # Panics
 /// Panics on shape or index-bound mismatches.
@@ -343,91 +220,6 @@ mod tests {
         let m = sample();
         let g = gather_rows(&m, &[]);
         assert_eq!(g.shape(), (0, 3));
-    }
-
-    #[test]
-    fn gather_into_overwrites_stale_output() {
-        let m = sample();
-        let idx = [2u32, 0, 3];
-        let mut out = Matrix::from_fn(3, 3, |_, _| f32::NAN);
-        gather_rows_into(&m, &idx, &mut out);
-        assert_eq!(out, gather_rows(&m, &idx));
-    }
-
-    #[test]
-    fn scatter_into_matches_allocating_variant() {
-        let m = sample();
-        let idx = [1u32, 0, 1, 4];
-        let mut out = Matrix::zeros(5, 3);
-        scatter_add_rows_into(&m, &idx, &mut out);
-        assert_eq!(out, scatter_add_rows(&m, &idx, 5));
-    }
-
-    #[test]
-    fn add_into_overwrites_stale_output() {
-        let a = sample();
-        let b = Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.25);
-        let mut out = Matrix::from_fn(4, 3, |_, _| f32::NAN);
-        add_elementwise_into(&a, &b, &mut out);
-        let tape = Tape::new();
-        let v = tape.add(tape.constant(a), tape.constant(b));
-        assert_eq!(out, tape.value(v));
-    }
-
-    #[test]
-    fn gather_pair_add_into_matches_tape_op_bitwise() {
-        let a = sample();
-        let b = Matrix::from_fn(3, 3, |r, c| (r * 7 + c) as f32 * -0.3 + 0.1);
-        let ia = [0u32, 3, 3, 1];
-        let ib = [2u32, 0, 1, 2];
-        let mut out = Matrix::from_fn(4, 3, |_, _| f32::NAN);
-        gather_pair_add_into(&a, &ia, &b, &ib, &mut out);
-        let tape = Tape::new();
-        let v = tape.gather_pair_add(tape.constant(a), &ia, tape.constant(b), &ib);
-        let want = tape.value(v);
-        let got: Vec<u32> = out.data().iter().map(|x| x.to_bits()).collect();
-        let exp: Vec<u32> = want.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, exp);
-    }
-
-    #[test]
-    fn attn_edge_scores_into_matches_tape_op_bitwise() {
-        let e = 6;
-        let da = 4;
-        let a_s = Matrix::from_fn(e, da, |r, c| (r as f32 - c as f32) * 0.37);
-        let a_r = Matrix::from_fn(e, da, |r, c| (r * c) as f32 * 0.11 - 0.6);
-        let bias = Matrix::from_fn(1, da, |_, c| c as f32 * 0.21 - 0.3);
-        let w_a = Matrix::from_fn(da, 1, |r, _| r as f32 * 0.4 - 0.7);
-        let mut out = Matrix::from_fn(e, 1, |_, _| f32::NAN);
-        attn_edge_scores_into(&a_s, &a_r, &bias, &w_a, &mut out);
-        let tape = Tape::new();
-        let v = tape.attn_edge_score(
-            tape.constant(a_s),
-            tape.constant(a_r),
-            tape.constant(bias),
-            tape.constant(w_a),
-        );
-        let want = tape.value(v);
-        let got: Vec<u32> = out.data().iter().map(|x| x.to_bits()).collect();
-        let exp: Vec<u32> = want.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, exp);
-    }
-
-    #[test]
-    fn scale_scatter_add_into_matches_unfused_bitwise() {
-        let m = sample();
-        let scale = Matrix::col_vector(&[0.5, -1.5, 2.0, 0.25]);
-        let idx = [1u32, 0, 1, 2];
-        let mut out = Matrix::zeros(3, 3);
-        scale_scatter_add_rows_into(&m, Some(&scale), &idx, &mut out);
-        let want = scatter_add_rows(&mul_col_broadcast(&m, &scale), &idx, 3);
-        let got: Vec<u32> = out.data().iter().map(|x| x.to_bits()).collect();
-        let exp: Vec<u32> = want.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, exp);
-
-        let mut plain = Matrix::zeros(3, 3);
-        scale_scatter_add_rows_into(&m, None, &idx, &mut plain);
-        assert_eq!(plain, scatter_add_rows(&m, &idx, 3));
     }
 
     #[test]

@@ -31,21 +31,17 @@ mod matrix;
 mod nn;
 mod optim;
 mod pool;
-mod quant;
 mod serialize;
 mod tape;
 
 pub use init::{normal, uniform, xavier_uniform};
 pub use kernels::{
-    add_elementwise_into, add_row_broadcast, attn_edge_scores_into,
-    fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into, gather_pair_add_into,
-    gather_rows, gather_rows_into, mul_col_broadcast, scale_rows_in_place,
-    scale_scatter_add_rows_into, scatter_add_rows, scatter_add_rows_into,
+    add_row_broadcast, fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into,
+    gather_rows, mul_col_broadcast, scale_rows_in_place, scatter_add_rows,
 };
 pub use matrix::Matrix;
 pub use nn::{row_softmax, segment_softmax};
 pub use optim::{collect_grads, Adam, GradEntry, ParamId, ParamStore, Sgd};
 pub use pool::{global_pool_stats, MatrixPool, PoolGuard, PoolStash, PoolStats};
-pub use quant::{quant2_matmul_into, quant_matmul_into, quantize_row_into, QuantMatrix};
 pub use serialize::CheckpointError;
 pub use tape::{stable_sigmoid, stable_softplus, Tape, TapeGuard, TapeStash, Var};

@@ -1,14 +1,18 @@
-//! Property-based bitwise equivalence for the fused edge-message tape ops.
+//! Property-based bitwise equivalence for the fused edge-message kernels.
 //!
-//! Each fused kernel (`gather_pair_add`, `attn_edge_score`,
+//! Each fused tape op (`gather_pair_add`, `attn_edge_score`,
 //! `scale_mask_scatter_add`) claims to be *bitwise identical* — forward
-//! values AND gradients — to the chain of unfused ops it replaced. These
-//! tests state that claim as a property over random shapes, random index
+//! values AND gradients — to the chain of unfused ops it replaced, and each
+//! tape-free `fused_*_into` kernel claims to be bitwise identical to the
+//! tape chain the taped forward records for the same step. These tests
+//! state both claims as properties over random shapes, random index
 //! streams (duplicates arise naturally and are also forced explicitly),
-//! random dropout masks, and empty edge lists, and check it with exact
+//! random dropout masks, and empty edge lists, and check them with exact
 //! `f32::to_bits` comparison: no tolerance, ever.
 
-use kucnet_tensor::{Matrix, Tape, Var};
+use kucnet_tensor::{
+    fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into, Matrix, Tape, Var,
+};
 use proptest::prelude::*;
 
 fn mat(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -118,8 +122,89 @@ fn scale_mask_case(
     );
 }
 
+/// Forward value bits of `build` over constants of `inputs` on a fresh tape.
+fn tape_bits(inputs: &[Matrix], build: impl Fn(&Tape, &[Var]) -> Var) -> Vec<u32> {
+    let tape = Tape::new();
+    let vars: Vec<Var> = inputs.iter().map(|m| tape.constant(m.clone())).collect();
+    tape.with_value(build(&tape, &vars), bits)
+}
+
+/// `fused_gather_attn_scores_into` vs `gather_rows` ×2 → `attn_edge_score`.
+fn fused_attn_case(
+    node_attn: Matrix,
+    rel_attn: Matrix,
+    bias: Matrix,
+    w_a: Matrix,
+    src: Vec<u32>,
+    ri: Vec<u32>,
+) {
+    // Stale pooled contents must be overwritten.
+    let mut got = Matrix::from_fn(src.len(), 1, |_, _| f32::NAN);
+    fused_gather_attn_scores_into(&node_attn, &src, &rel_attn, &ri, &bias, &w_a, &mut got);
+    let want = tape_bits(&[node_attn, rel_attn, bias, w_a], |t, v| {
+        let a_s = t.gather_rows(v[0], &src);
+        let a_r = t.gather_rows(v[1], &ri);
+        t.attn_edge_score(a_s, a_r, v[2], v[3])
+    });
+    assert_eq!(bits(&got), want, "fused attention scores diverged from the tape chain");
+}
+
+/// `fused_gather_add_scale_scatter_into` vs `gather_pair_add` →
+/// `scale_mask_scatter_add` (no mask: the tape-free forward is eval-only).
+fn fused_scatter_case(
+    a: Matrix,
+    b: Matrix,
+    ia: Vec<u32>,
+    ib: Vec<u32>,
+    scale: Option<Matrix>,
+    dst: Vec<u32>,
+    out_rows: usize,
+) {
+    let mut got = Matrix::zeros(out_rows, a.cols());
+    fused_gather_add_scale_scatter_into(&a, &ia, &b, &ib, scale.as_ref(), &dst, &mut got);
+    let has_scale = scale.is_some();
+    let inputs: Vec<Matrix> = [a, b].into_iter().chain(scale).collect();
+    let want = tape_bits(&inputs, |t, v| {
+        let msg = t.gather_pair_add(v[0], &ia, v[1], &ib);
+        t.scale_mask_scatter_add(msg, has_scale.then(|| v[2]), None, &dst, out_rows)
+    });
+    assert_eq!(bits(&got), want, "fused scatter diverged from the tape chain");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fused_attn_scores_match_tape_chain(
+        case in (1usize..7, 1usize..4, 1usize..6, 0usize..14).prop_flat_map(
+            |(n, r, da, e)| (
+                mat(n, da),
+                mat(r, da),
+                mat(1, da),
+                mat(da, 1),
+                indices(e, n as u32),
+                indices(e, r as u32),
+            )
+        )
+    ) {
+        let (node_attn, rel_attn, bias, w_a, src, ri) = case;
+        fused_attn_case(node_attn, rel_attn, bias, w_a, src, ri);
+    }
+
+    #[test]
+    fn fused_scatter_matches_tape_chain(
+        case in (1usize..7, 1usize..4, 1usize..6, 0usize..14, 1usize..8, proptest::bool::ANY)
+            .prop_flat_map(|(n, r, c, e, out_rows, with_scale)| (
+                (mat(n, c), mat(r, c)),
+                (indices(e, n as u32), indices(e, r as u32)),
+                mat(e, 1),
+                indices(e, out_rows as u32),
+                Just((out_rows, with_scale)),
+            ))
+    ) {
+        let ((a, b), (ia, ib), scale, dst, (out_rows, with_scale)) = case;
+        fused_scatter_case(a, b, ia, ib, with_scale.then_some(scale), dst, out_rows);
+    }
 
     #[test]
     fn gather_pair_add_matches_unfused(
@@ -175,6 +260,12 @@ fn all_duplicate_destinations() {
     scale_mask_case(msg.clone(), Some(scale), None, dst.clone(), 2);
     let mask: Vec<f32> = (0..18).map(|i| if i % 3 == 0 { 0.0 } else { 1.25 }).collect();
     scale_mask_case(msg, None, Some(mask), dst, 2);
+    let a = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.3 - 1.0);
+    let b = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 * -0.4 + 0.5);
+    let scale = Matrix::from_fn(6, 1, |r, _| 0.5 - r as f32 * 0.3);
+    let (ia, ib) = (vec![0, 3, 1, 3, 2, 0], vec![1, 0, 0, 1, 1, 0]);
+    fused_scatter_case(a.clone(), b.clone(), ia.clone(), ib.clone(), Some(scale), vec![0; 6], 2);
+    fused_scatter_case(a, b, ia, ib, None, vec![1; 6], 2);
 }
 
 /// Gathering the same source row for every edge (real layered graphs do
@@ -183,7 +274,11 @@ fn all_duplicate_destinations() {
 fn all_duplicate_sources() {
     let a = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 * 0.5 - 1.0);
     let b = Matrix::from_fn(2, 4, |r, c| (r * c) as f32 * 0.5 - 0.75);
-    gather_pair_case(a, b, vec![1; 9], vec![0; 9]);
+    gather_pair_case(a.clone(), b.clone(), vec![1; 9], vec![0; 9]);
+    let bias = Matrix::from_fn(1, 4, |_, c| c as f32 * 0.2 - 0.3);
+    let w_a = Matrix::from_fn(4, 1, |r, _| 0.6 - r as f32 * 0.4);
+    fused_attn_case(a.clone(), b.clone(), bias, w_a, vec![1; 9], vec![0; 9]);
+    fused_scatter_case(a, b, vec![1; 9], vec![0; 9], None, (0..9).map(|k| k % 3).collect(), 3);
 }
 
 /// Zero-edge layers must flow through both paths identically (the model
@@ -200,4 +295,13 @@ fn empty_edge_lists() {
         Matrix::from_fn(4, 1, |r, _| r as f32 - 1.0),
     );
     scale_mask_case(Matrix::zeros(0, 4), None, None, vec![], 3);
+    fused_attn_case(
+        a.clone(),
+        Matrix::zeros(2, 4),
+        Matrix::from_fn(1, 4, |_, c| c as f32),
+        Matrix::from_fn(4, 1, |r, _| r as f32 - 1.0),
+        vec![],
+        vec![],
+    );
+    fused_scatter_case(a, Matrix::zeros(2, 4), vec![], vec![], None, vec![], 3);
 }

@@ -1,7 +1,7 @@
 //! Property-based gradient checking: analytic gradients from the tape must
 //! match central finite differences for every differentiable op.
 
-use kucnet_tensor::{Matrix, Tape, Var};
+use kucnet_tensor::{add_row_broadcast, gather_rows, Matrix, Tape, Var};
 use proptest::prelude::*;
 
 const EPS: f32 = 1e-3;
@@ -170,6 +170,45 @@ proptest! {
             let msg = t.add(v[0], v[1]);
             let weighted = t.mul_col_broadcast(msg, alpha);
             let agg = t.scatter_add_rows(weighted, &[0, 1, 0, 2, 1, 0], 3);
+            t.sum_all(t.square(agg))
+        });
+    }
+
+    #[test]
+    fn grad_node_level_layer(
+        h in small_matrix(4, 3),
+        rel in small_matrix(3, 3),
+        w in small_matrix(3, 3),
+        w_as in small_matrix(3, 2),
+        w_ar in small_matrix(3, 2),
+        bias_wa in (small_matrix(1, 2), small_matrix(2, 1)),
+    ) {
+        // One node-level KUCNet layer (Eq. 6): W^l, W_αs^l and W_αr^l run
+        // over the node rows and the relation table, then each edge gathers
+        // and adds; α is scaled by a constant 1/outdeg (the random-walk
+        // norm) before the scatter.
+        let (bias, w_a) = bias_wa;
+        let (src, ri, dst) = ([0u32, 1, 1, 3, 2, 0], [2u32, 0, 1, 2, 0, 1], [0u32, 1, 0, 2, 1, 2]);
+        // Skip cases with an attention pre-activation near the ReLU kink,
+        // where central differences are ill-defined.
+        let pre = add_row_broadcast(
+            &gather_rows(&h.matmul(&w_as), &src)
+                .zip_map(&gather_rows(&rel.matmul(&w_ar), &ri), |x, y| x + y),
+            &bias,
+        );
+        if pre.data().iter().any(|x| x.abs() <= 0.05) {
+            continue;
+        }
+        let inv = Matrix::col_vector(&[0.5, 0.5, 0.5, 1.0, 1.0, 0.5]);
+        check_grad(&[h, rel, w, w_as, w_ar, bias, w_a], |t, v| {
+            let node_msg = t.matmul(v[0], v[2]);
+            let rel_msg = t.matmul(v[1], v[2]);
+            let msg = t.gather_pair_add(node_msg, &src, rel_msg, &ri);
+            let a_s = t.gather_rows(t.matmul(v[0], v[3]), &src);
+            let a_r = t.gather_rows(t.matmul(v[1], v[4]), &ri);
+            let alpha = t.attn_edge_score(a_s, a_r, v[5], v[6]);
+            let scale = t.mul_col_broadcast(alpha, t.constant(inv.clone()));
+            let agg = t.scale_mask_scatter_add(msg, Some(scale), None, &dst, 3);
             t.sum_all(t.square(agg))
         });
     }

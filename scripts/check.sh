@@ -52,12 +52,6 @@ cargo test -q -p kucnet-serve --test ab_routing
 echo "== serving: /explain parity vs offline fig7 extraction =="
 cargo test -q -p kucnet-serve --test explain_parity
 
-echo "== quantized inference: rank-parity hard gate (>= 99% top-20 overlap, all profiles) =="
-cargo test -q -p kucnet-serve --test quant_parity
-
-echo "== quantized serving bench smoke: f32 vs i8 full pass + overlap =="
-./target/release/bench_quant --smoke
-
 echo "== dynamic x swap: explain parity across ticks + reload/tick independence =="
 cargo test -q -p kucnet-dynamic --test hot_swap
 
