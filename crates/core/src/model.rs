@@ -182,7 +182,7 @@ pub fn forward(
         let rel_msg = tape.matmul(p.rel, p.w);
         let msg = tape.gather_pair_add(node_msg, &layer.src_pos, rel_msg, &layer.rel);
         // Per-edge scale: attention α, the random-walk 1/outdeg, or both.
-        let mut scale = config.attention.then(|| {
+        let mut edge_scale = config.attention.then(|| {
             // α = σ(w_α^T ReLU(W_αs h_s + W_αr h_r + b_α))   (Eq. 6), with
             // both projections likewise applied per node and per relation
             // and the add/broadcast/relu/matmul/sigmoid chain fused.
@@ -205,7 +205,7 @@ pub fn forward(
                 *slot = 1.0 / outdeg[sp as usize].max(1.0);
             }
             let inv = tape.constant_from_buffer(e, 1, inv);
-            scale = Some(scale.map_or(inv, |alpha| tape.mul_col_broadcast(alpha, inv)));
+            edge_scale = Some(edge_scale.map_or(inv, |alpha| tape.mul_col_broadcast(alpha, inv)));
         }
         let mask = dropout_rng.as_deref_mut().filter(|_| config.dropout > 0.0).map(|rng| {
             let keep = 1.0 - config.dropout;
@@ -218,7 +218,7 @@ pub fn forward(
         });
         // Fused scale + dropout-mask + scatter: replaces up to two full
         // edge-sized intermediates per layer with a single pass.
-        let mut agg = tape.scale_mask_scatter_add(msg, scale, mask, &layer.dst_pos, out_rows);
+        let mut agg = tape.scale_mask_scatter_add(msg, edge_scale, mask, &layer.dst_pos, out_rows);
         if config.agg_norm == AggregationNorm::MeanIn {
             let mut indeg = vec![0.0f32; out_rows];
             for &d in &layer.dst_pos {
