@@ -79,12 +79,6 @@ pub const BASELINE_FILE: &str = "audit_baseline.toml";
 const MODULE_LOSSY_CAST: [&str; 3] =
     ["crates/core/src/frozen.rs", "crates/core/src/sharded.rs", "crates/datasets/src/scale.rs"];
 
-/// Modules held to the full determinism contract even though their crate is
-/// exempt: `serve` may time and shuffle, but shard routing must stay a pure
-/// function of the user id (the differential suite depends on it), so hash
-/// iteration, entropy, and unordered float reductions are bugs here.
-const MODULE_DETERMINISTIC: [&str; 1] = ["crates/serve/src/shard.rs"];
-
 /// Applies the per-module upgrade lists to one repo-relative file path.
 /// Only ever *tightens* the crate config, so a module list entry can never
 /// silently exempt a file from its crate's rules.
@@ -93,11 +87,6 @@ fn options_for_module(shown: &Path, crate_opts: LintOptions) -> LintOptions {
     let mut opts = crate_opts;
     if MODULE_LOSSY_CAST.contains(&key.as_str()) {
         opts.lossy_casts = true;
-    }
-    if MODULE_DETERMINISTIC.contains(&key.as_str()) {
-        opts.concurrency.unordered_iter = true;
-        opts.concurrency.entropy = true;
-        opts.concurrency.float_accum = true;
     }
     opts
 }
@@ -301,20 +290,12 @@ mod tests {
         let scale = options_for_module(Path::new("crates/datasets/src/scale.rs"), datasets);
         assert!(scale.lossy_casts, "scale.rs must get no-lossy-cast");
 
-        let serve = options_for_crate("serve");
-        assert!(!serve.concurrency.entropy, "serve-wide determinism? update this test");
-        let shard = options_for_module(Path::new("crates/serve/src/shard.rs"), serve);
-        assert!(
-            shard.concurrency.unordered_iter
-                && shard.concurrency.entropy
-                && shard.concurrency.float_accum,
-            "shard.rs must get the determinism rules"
-        );
         // The upgrade only tightens: crate-level toggles stay on, and files
         // not on a list keep their crate's config untouched.
-        assert!(shard.lossy_casts && shard.concurrency.raw_spawn);
+        assert!(sharded.concurrency.unordered_iter && sharded.concurrency.raw_spawn);
+        let serve = options_for_crate("serve");
         let other = options_for_module(Path::new("crates/serve/src/http.rs"), serve);
-        assert!(!other.concurrency.entropy);
+        assert!(other.lossy_casts && !other.concurrency.entropy);
     }
 
     #[test]

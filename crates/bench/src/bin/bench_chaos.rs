@@ -9,37 +9,16 @@
 //! and the self-healing counters (panics caught, workers respawned,
 //! whether the pool returned to full size).
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kucnet::{KucNet, ScoreService, SelectorKind};
 use kucnet_bench::{kucnet_config, write_results, HarnessOpts};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
-use kucnet_serve::{FaultConfig, FaultyService, ServeConfig, Server};
+use kucnet_serve::{client, FaultConfig, FaultyService, ServeConfig, Server};
 
 /// Fault rates swept by the benchmark (fraction of builds that panic).
 const FAULT_RATES: [f64; 3] = [0.0, 0.1, 0.3];
-
-/// Sends one `POST /recommend` and returns the HTTP status (0 on any
-/// transport failure — which the harness counts as a non-answer).
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> u16 {
-    let body = format!("{{\"user\": {user}, \"top_k\": {top_k}}}");
-    let raw = format!(
-        "POST /recommend HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let Ok(mut stream) = TcpStream::connect(addr) else { return 0 };
-    if stream.write_all(raw.as_bytes()).is_err() {
-        return 0;
-    }
-    let mut text = String::new();
-    if BufReader::new(stream).read_to_string(&mut text).is_err() {
-        return 0;
-    }
-    text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0)
-}
 
 /// One fault-rate sweep point.
 struct SweepPoint {
@@ -109,9 +88,9 @@ fn main() {
                     let mut counts = (0u64, 0u64, 0u64); // (200, 500, other)
                     for i in 0..n_requests {
                         let user = ((c * 7919 + i * 104_729) as u64) % n_users;
-                        match recommend(addr, user, 10) {
-                            200 => counts.0 += 1,
-                            500 => counts.1 += 1,
+                        match client::recommend(addr, user, 10).map(|r| r.status) {
+                            Ok(200) => counts.0 += 1,
+                            Ok(500) => counts.1 += 1,
                             _ => counts.2 += 1,
                         }
                     }

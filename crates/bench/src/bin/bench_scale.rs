@@ -1,8 +1,9 @@
 //! Out-of-core scale benchmark: generates the streaming `scale` dataset
-//! shard-by-shard, loads it into an 8-shard [`ShardRouter`], and drives it
-//! with a Zipf-skewed closed-loop burst plus an open-loop target-rps sweep.
-//! Writes `results/BENCH_scale.json` with throughput / latency / memory vs
-//! user count.
+//! shard-by-shard, serves each of its 8 shards from its own HTTP
+//! [`Server`], and drives them over loopback with a Zipf-skewed closed-loop
+//! burst plus an open-loop target-rps sweep. Each request goes to the
+//! server at `shard_of(user, 8)`. Writes `results/BENCH_scale.json` with
+//! throughput / latency / memory vs user count.
 //!
 //! Each user-count scale runs in a **child process** (`--child --users N`)
 //! so `VmHWM` (the kernel's peak-RSS high-water mark, which never goes
@@ -13,6 +14,7 @@
 //! `--smoke` shrinks the profile and request counts for CI.
 
 use std::io::Read as _;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,8 +22,8 @@ use std::time::{Duration, Instant};
 use kucnet::{KucNetConfig, ScoreService, ShardService};
 use kucnet_bench::{git_commit, write_results};
 use kucnet_datasets::{load_shard_segments, write_scale_dataset, ScaleProfile};
-use kucnet_graph::UserId;
-use kucnet_serve::{ServeConfig, ShardRouter};
+use kucnet_graph::{shard_of, UserId};
+use kucnet_serve::{client, ServeConfig, Server, ServerHandle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,6 +58,13 @@ fn zipf_user(rng: &mut SmallRng, n_users: u32, exponent: f32) -> UserId {
     UserId(picked.min(n_users - 1))
 }
 
+/// Sends `user`'s top-20 request to the server of their shard; true on a
+/// 200.
+fn recommend(addrs: &[SocketAddr], user: UserId) -> bool {
+    let addr = addrs[shard_of(user.0, addrs.len())];
+    client::recommend(addr, u64::from(user.0), 20).is_ok_and(|r| r.status == 200)
+}
+
 /// p50/p95/p99 of a latency sample, in microseconds.
 fn percentiles(lat_us: &mut Vec<u64>) -> (u64, u64, u64) {
     if lat_us.is_empty() {
@@ -76,12 +85,12 @@ struct LoopResult {
 }
 
 /// Closed loop: every client fires its next request the moment the previous
-/// reply lands. Measures the router's saturated throughput.
-fn closed_loop(router: &Arc<ShardRouter>, profile: &ScaleProfile, per_client: u64) -> LoopResult {
+/// reply lands. Measures the shard servers' saturated throughput.
+fn closed_loop(addrs: &Arc<[SocketAddr]>, profile: &ScaleProfile, per_client: u64) -> LoopResult {
     let started = Instant::now();
     let mut clients = Vec::new();
     for c in 0..N_CLIENTS {
-        let router = Arc::clone(router);
+        let addrs = Arc::clone(addrs);
         let n_users = profile.n_users;
         let expo = profile.popularity_exponent;
         clients.push(std::thread::spawn(move || {
@@ -91,7 +100,7 @@ fn closed_loop(router: &Arc<ShardRouter>, profile: &ScaleProfile, per_client: u6
             for _ in 0..per_client {
                 let user = zipf_user(&mut rng, n_users, expo);
                 let t = Instant::now();
-                if router.recommend(user, 20).is_ok() {
+                if recommend(&addrs, user) {
                     ok += 1;
                 }
                 lat.push(t.elapsed().as_micros().min(u64::MAX as u128) as u64);
@@ -116,7 +125,7 @@ fn closed_loop(router: &Arc<ShardRouter>, profile: &ScaleProfile, per_client: u6
 /// *scheduled* arrival, so queueing delay under overload is charged to the
 /// request rather than hidden by client back-pressure.
 fn open_loop(
-    router: &Arc<ShardRouter>,
+    addrs: &Arc<[SocketAddr]>,
     profile: &ScaleProfile,
     target_rps: u64,
     duration_secs: u64,
@@ -127,7 +136,7 @@ fn open_loop(
     let started = Instant::now();
     let mut clients = Vec::new();
     for c in 0..N_CLIENTS {
-        let router = Arc::clone(router);
+        let addrs = Arc::clone(addrs);
         let n_users = profile.n_users;
         let expo = profile.popularity_exponent;
         clients.push(std::thread::spawn(move || {
@@ -141,7 +150,7 @@ fn open_loop(
                     std::thread::sleep(wait);
                 }
                 let user = zipf_user(&mut rng, n_users, expo);
-                if router.recommend(user, 20).is_ok() {
+                if recommend(&addrs, user) {
                     ok += 1;
                 }
                 lat.push(deadline.elapsed().as_micros().min(u64::MAX as u128) as u64);
@@ -213,17 +222,21 @@ fn run_child(n_users: u32, smoke: bool, dir: &Path) {
         load_peak_rss_kb / 1024
     );
 
-    // Phase 3: serve.
+    // Phase 3: serve, one HTTP server per shard.
     let serve = ServeConfig {
         workers: 1,
         batch_threads: 1,
         cache_capacity: 8192,
         ..ServeConfig::default()
     };
-    let router = Arc::new(ShardRouter::start(services, &serve).expect("start router"));
+    let servers: Vec<ServerHandle> = services
+        .into_iter()
+        .map(|service| Server::start(service, serve.clone(), "127.0.0.1:0").expect("start server"))
+        .collect();
+    let addrs: Arc<[SocketAddr]> = servers.iter().map(ServerHandle::addr).collect();
 
     let per_client = if smoke { 16 } else { 256 };
-    let closed = closed_loop(&router, &profile, per_client);
+    let closed = closed_loop(&addrs, &profile, per_client);
     let closed_rps = if closed.wall_secs > 0.0 { closed.ok as f64 / closed.wall_secs } else { 0.0 };
     eprintln!(
         "[bench_scale] users={n_users}: closed loop {}/{} ok, {closed_rps:.0} rps, \
@@ -235,7 +248,7 @@ fn run_child(n_users: u32, smoke: bool, dir: &Path) {
         if smoke { (&[50], 1) } else { (&[20, 50, 100], 10) };
     let mut open_json = Vec::new();
     for &target in targets {
-        let r = open_loop(&router, &profile, target, duration_secs);
+        let r = open_loop(&addrs, &profile, target, duration_secs);
         let achieved = if r.wall_secs > 0.0 { r.ok as f64 / r.wall_secs } else { 0.0 };
         eprintln!(
             "[bench_scale] users={n_users}: open loop target={target}rps answered {}/{} \
@@ -251,10 +264,12 @@ fn run_child(n_users: u32, smoke: bool, dir: &Path) {
         ));
     }
 
-    let hits: u64 = (0..N_SHARDS).map(|s| router.cache_stats(s).hits).sum();
-    let lookups: u64 = (0..N_SHARDS).map(|s| router.cache_stats(s).lookups).sum();
+    let hits: u64 = servers.iter().map(|s| s.cache_stats().hits).sum();
+    let lookups: u64 = servers.iter().map(|s| s.cache_stats().lookups).sum();
     let cache_hit_rate = if lookups > 0 { hits as f64 / lookups as f64 } else { 0.0 };
-    router.shutdown();
+    for server in &servers {
+        server.shutdown();
+    }
     let final_peak_rss_kb = peak_rss_kb();
 
     println!(

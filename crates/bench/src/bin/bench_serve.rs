@@ -8,33 +8,13 @@
 //! the *online* half — what a request actually costs once subgraph caching
 //! and request batching sit in front of the model.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
 use kucnet::{KucNet, ScoreService, SelectorKind};
 use kucnet_bench::{git_commit, kucnet_config, write_results, HarnessOpts};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
-use kucnet_serve::{ServeConfig, Server};
-
-/// Sends one `POST /recommend` and returns the HTTP status.
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> u16 {
-    let body = format!("{{\"user\": {user}, \"top_k\": {top_k}}}");
-    let raw = format!(
-        "POST /recommend HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let Ok(mut stream) = TcpStream::connect(addr) else { return 0 };
-    if stream.write_all(raw.as_bytes()).is_err() {
-        return 0;
-    }
-    let mut text = String::new();
-    if BufReader::new(stream).read_to_string(&mut text).is_err() {
-        return 0;
-    }
-    text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0)
-}
+use kucnet_serve::{client, ServeConfig, Server};
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -66,7 +46,7 @@ fn main() {
                 // users, the rest round-robins the full user space.
                 let r = (c * 7919 + i * 104_729) as u64;
                 let user = if i % 2 == 0 { r % 4.min(n_users) } else { r % n_users };
-                if recommend(addr, user, 10) == 200 {
+                if client::recommend(addr, user, 10).is_ok_and(|r| r.status == 200) {
                     ok += 1;
                 }
             }

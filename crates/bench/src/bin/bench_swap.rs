@@ -9,8 +9,6 @@
 //! the window, availability (every request must come back 200 or 500 —
 //! never dropped), and whether the worker pool healed afterwards.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,45 +16,9 @@ use kucnet::{KucNet, KucNetConfig, ScoreService, SelectorKind};
 use kucnet_bench::{git_commit, kucnet_config, write_results, HarnessOpts};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
 use kucnet_graph::Ckg;
-use kucnet_serve::{FaultConfig, FaultyService, ModelLoader, ModelRegistry, ServeConfig, Server};
-
-/// Sends one raw HTTP request; returns `(status, body)`, status 0 on any
-/// transport failure (counted as a non-answer).
-fn send(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return (0, String::new()) };
-    if stream.write_all(raw.as_bytes()).is_err() {
-        return (0, String::new());
-    }
-    let mut text = String::new();
-    if BufReader::new(stream).read_to_string(&mut text).is_err() {
-        return (0, String::new());
-    }
-    let status = text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, body)
-}
-
-/// POSTs a JSON body to `path`.
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    send(addr, &raw)
-}
-
-/// One `POST /recommend`; returns `(status, model_version)` with version 0
-/// when unattributable.
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> (u16, u64) {
-    let (status, body) =
-        post(addr, "/recommend", &format!("{{\"user\": {user}, \"top_k\": {top_k}}}"));
-    let version = body
-        .split_once("\"model_version\":")
-        .map(|(_, rest)| rest.chars().take_while(char::is_ascii_digit).collect::<String>())
-        .and_then(|digits| digits.parse().ok())
-        .unwrap_or(0);
-    (status, version)
-}
+use kucnet_serve::{
+    client, FaultConfig, FaultyService, ModelLoader, ModelRegistry, ServeConfig, Server,
+};
 
 /// Builds replacement models from `KUCP` checkpoints.
 struct KucpLoader {
@@ -127,10 +89,12 @@ fn main() {
                 let mut counts = (0u64, 0u64, 0u64, 0u64);
                 for i in 0..n_requests {
                     let user = ((c * 7919 + i * 104_729) as u64) % n_users;
-                    match recommend(addr, user, 10) {
-                        (200, 1) => counts.0 += 1,
-                        (200, _) => counts.1 += 1,
-                        (500, _) => counts.2 += 1,
+                    let reply = client::recommend(addr, user, 10)
+                        .map(|r| (r.status, client::u64_field(&r.body, "model_version")));
+                    match reply {
+                        Ok((200, Some(1))) => counts.0 += 1,
+                        Ok((200, _)) => counts.1 += 1,
+                        Ok((500, _)) => counts.2 += 1,
                         _ => counts.3 += 1,
                     }
                 }
@@ -144,14 +108,15 @@ fn main() {
     std::thread::sleep(Duration::from_millis(if quick { 20 } else { 60 }));
     let ckpt_json = ckpt.to_str().expect("utf-8 temp path").replace('\\', "\\\\");
     let swap_started = Instant::now();
-    let (status, body) = post(
+    let resp = client::post(
         addr,
         "/admin/reload",
         &format!("{{\"variant\": \"default\", \"path\": \"{ckpt_json}\"}}"),
-    );
+    )
+    .expect("reload request");
     let swap_latency_us = swap_started.elapsed().as_micros() as u64;
-    assert_eq!(status, 200, "reload failed: {body}");
-    eprintln!("[bench_swap] swap done in {swap_latency_us}us: {body}");
+    assert_eq!(resp.status, 200, "reload failed: {}", resp.body);
+    eprintln!("[bench_swap] swap done in {swap_latency_us}us: {}", resp.body);
 
     let (mut old_ok, mut new_ok, mut failed, mut other) = (0u64, 0u64, 0u64, 0u64);
     for client in clients {

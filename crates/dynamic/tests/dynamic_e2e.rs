@@ -2,88 +2,19 @@
 //! server, new-item onboarding within one refresh tick, and byte-identical
 //! rankings against a from-scratch rebuild — at batch thread counts 1 and 8.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use kucnet::{KucNet, KucNetConfig, ScoreService};
 use kucnet_dynamic::DynamicService;
 use kucnet_eval::top_n_indices;
 use kucnet_graph::{Ckg, CkgBuilder, EntityId, ItemId, KgNode, UserId};
+use kucnet_serve::client::{self, get, metric, post, recommend};
 use kucnet_serve::{GraphUpdater, ServeConfig, Server};
 
 const N_USERS: u32 = 6;
 const N_ITEMS: u32 = 8;
 /// The cold item: no interactions, no KG edges — unreachable at build time.
 const NEW_ITEM: u32 = 7;
-
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Response {
-    let raw =
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    send(addr, &raw)
-}
-
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> Response {
-    post(addr, "/recommend", &format!("{{\"user\": {user}, \"top_k\": {top_k}}}"))
-}
-
-/// Extracts the `(item, score)` list out of a `/recommend` success body.
-fn parse_items(body: &str) -> Vec<(u32, f32)> {
-    let inner = body
-        .split_once("\"items\":[")
-        .map(|(_, rest)| rest)
-        .and_then(|rest| rest.rsplit_once("]}"))
-        .map(|(items, _)| items)
-        .unwrap_or_else(|| panic!("no items array in: {body}"));
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    inner
-        .split("},{")
-        .map(|entry| {
-            let entry = entry.trim_matches(|c| c == '{' || c == '}');
-            let mut item = None;
-            let mut score = None;
-            for field in entry.split(',') {
-                let (key, value) = field.split_once(':').expect("field");
-                match key.trim_matches('"') {
-                    "item" => item = value.parse::<u32>().ok(),
-                    "score" => score = value.parse::<f32>().ok(),
-                    other => panic!("unexpected field `{other}` in: {body}"),
-                }
-            }
-            (item.expect("item id"), score.expect("score"))
-        })
-        .collect()
-}
-
-fn metric(body: &str, name: &str) -> f64 {
-    body.lines()
-        .find_map(|line| line.strip_prefix(name).map(|rest| rest.trim()))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric `{name}` missing in:\n{body}"))
-}
 
 /// A CKG where item `NEW_ITEM` exists in the id space but has zero edges.
 fn ckg_with_cold_item() -> Ckg {
@@ -119,15 +50,19 @@ fn onboard_at(batch_threads: usize) -> Vec<Vec<(u32, f32)>> {
     // Before any update the cold item scores exactly 0 for every user: it
     // has no edges, so it cannot appear in any computation graph.
     for user in 0..N_USERS as u64 {
-        let resp = recommend(addr, user, top_k);
+        let resp = recommend(addr, user, top_k).expect("recommend");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let score = parse_items(&resp.body).iter().find(|(i, _)| *i == NEW_ITEM).map(|&(_, s)| s);
+        let score = client::items(&resp.body)
+            .expect("items")
+            .iter()
+            .find(|(i, _)| *i == NEW_ITEM)
+            .map(|&(_, s)| s);
         assert_eq!(score.unwrap_or(0.0), 0.0, "cold item scored for user {user}");
     }
 
     // Live onboarding through POST /update: one interaction and one KG
     // edge attach the item, then a refresh tick commits the epoch.
-    let r = post(addr, "/update", &format!("{{\"user\": 0, \"item\": {NEW_ITEM}}}"));
+    let r = post(addr, "/update", &format!("{{\"user\": 0, \"item\": {NEW_ITEM}}}")).expect("post");
     assert_eq!(r.status, 200, "{}", r.body);
     assert!(r.body.contains("\"op\":\"append_interaction\""), "{}", r.body);
     let item_node = N_USERS + NEW_ITEM;
@@ -136,18 +71,19 @@ fn onboard_at(batch_threads: usize) -> Vec<Vec<(u32, f32)>> {
         addr,
         "/update",
         &format!("{{\"head\": {item_node}, \"rel\": 1, \"tail\": {entity_node}}}"),
-    );
+    )
+    .expect("post");
     assert_eq!(r.status, 200, "{}", r.body);
-    let r = post(addr, "/update", "{\"refresh\": 1}");
+    let r = post(addr, "/update", "{\"refresh\": 1}").expect("post");
     assert_eq!(r.status, 200, "{}", r.body);
     assert!(r.body.contains("\"epoch\":1"), "{}", r.body);
     assert!(r.body.contains("\"applied\":2"), "{}", r.body);
 
     // Within one tick the item is recommendable: it reaches user 0's
     // computation graph through the new interaction edge.
-    let resp = recommend(addr, 0, top_k);
+    let resp = recommend(addr, 0, top_k).expect("recommend");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let items = parse_items(&resp.body);
+    let items = client::items(&resp.body).expect("items");
     let (_, new_score) = *items.iter().find(|(i, _)| *i == NEW_ITEM).expect("new item served");
     assert_ne!(new_score, 0.0, "new item must score through its fresh edges");
 
@@ -158,9 +94,9 @@ fn onboard_at(batch_threads: usize) -> Vec<Vec<(u32, f32)>> {
         DynamicService::new(Arc::clone(&model), Arc::new(service.graph().rebuild_from_scratch()));
     let mut served = Vec::new();
     for user in 0..N_USERS {
-        let resp = recommend(addr, user as u64, top_k);
+        let resp = recommend(addr, user as u64, top_k).expect("recommend");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let got = parse_items(&resp.body);
+        let got = client::items(&resp.body).expect("items");
         let scores = reference.score_user(UserId(user));
         let expected: Vec<(u32, f32)> = top_n_indices(&scores, N_ITEMS as usize)
             .into_iter()
@@ -172,12 +108,13 @@ fn onboard_at(batch_threads: usize) -> Vec<Vec<(u32, f32)>> {
 
     // The update path is observable: epoch line, update counter, and the
     // eager invalidation of user 0's cached (now stale) subgraph.
-    let m = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let m = get(addr, "/metrics").expect("metrics");
     assert_eq!(m.status, 200);
-    assert_eq!(metric(&m.body, "kucnet_graph_epoch"), 1.0, "{}", m.body);
-    assert!(metric(&m.body, "kucnet_updates_total") >= 3.0, "{}", m.body);
-    assert!(metric(&m.body, "kucnet_cache_invalidations") >= 1.0, "{}", m.body);
-    assert!(metric(&m.body, "kucnet_cache_patched") >= 0.0, "{}", m.body);
+    let read = |name| metric(&m.body, name).expect(name);
+    assert_eq!(read("kucnet_graph_epoch"), 1.0, "{}", m.body);
+    assert!(read("kucnet_updates_total") >= 3.0, "{}", m.body);
+    assert!(read("kucnet_cache_invalidations") >= 1.0, "{}", m.body);
+    assert!(read("kucnet_cache_patched") >= 0.0, "{}", m.body);
 
     handle.shutdown();
     served
@@ -196,7 +133,7 @@ fn static_server_rejects_updates_with_400() {
     let handle =
         Server::start(model as Arc<dyn ScoreService>, ServeConfig::default(), "127.0.0.1:0")
             .expect("bind");
-    let r = post(handle.addr(), "/update", "{\"refresh\": 1}");
+    let r = post(handle.addr(), "/update", "{\"refresh\": 1}").expect("post");
     assert_eq!(r.status, 400, "{}", r.body);
     assert!(r.body.contains("static graph"), "{}", r.body);
     handle.shutdown();
@@ -225,10 +162,10 @@ fn malformed_updates_get_400_not_panics() {
         "{\"head\": 7, \"rel\": 1, \"tail\": 7}", // self-loop
         "{\"bogus\": 1}",                         // unknown field
     ] {
-        assert_eq!(post(addr, "/update", body).status, 400, "body `{body}`");
+        assert_eq!(post(addr, "/update", body).expect("post").status, 400, "body `{body}`");
     }
     assert_eq!(service.epoch(), 0, "no malformed update may mutate the graph");
     // The write path still works after the abuse.
-    assert_eq!(post(addr, "/update", "{\"user\": 0, \"item\": 7}").status, 200);
+    assert_eq!(post(addr, "/update", "{\"user\": 0, \"item\": 7}").expect("post").status, 200);
     handle.shutdown();
 }

@@ -12,8 +12,6 @@
 //!   hybrid: every ranking must equal what its labeled model version
 //!   scores against one single committed epoch.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,6 +19,7 @@ use kucnet::{KucNet, KucNetConfig, ScoreService};
 use kucnet_dynamic::{DynamicService, RefreshPhase};
 use kucnet_eval::top_n_indices;
 use kucnet_graph::{Ckg, CkgBuilder, EntityId, ItemId, KgNode, UserId};
+use kucnet_serve::client::{items, post, recommend, str_field, u64_field};
 use kucnet_serve::{GraphUpdater, ModelRegistry, ServeConfig, Server};
 
 const N_USERS: u32 = 6;
@@ -28,104 +27,6 @@ const N_ITEMS: u32 = 8;
 /// The cold item: no interactions, no KG edges at build time.
 const NEW_ITEM: u32 = 7;
 const THRESHOLD_MILLI: u16 = 200;
-
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Response {
-    let raw =
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    send(addr, &raw)
-}
-
-/// Extracts and JSON-unescapes the string field `key` from a flat JSON
-/// body (inverse of the server's `json_escape`).
-fn json_str_field(body: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":\"");
-    let rest = body.split_once(&needle).unwrap_or_else(|| panic!("no `{key}` field in: {body}")).1;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return out,
-            '\\' => match chars.next().expect("dangling escape") {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).map(|_| chars.next().expect("short \\u")).collect();
-                    let code = u32::from_str_radix(&hex, 16).expect("hex escape");
-                    out.push(char::from_u32(code).expect("valid code point"));
-                }
-                other => panic!("unexpected escape \\{other} in `{key}`"),
-            },
-            c => out.push(c),
-        }
-    }
-    panic!("unterminated `{key}` string in: {body}")
-}
-
-/// Extracts the `"model_version":N` attribution from a success body.
-fn model_version_of(body: &str) -> u64 {
-    body.split_once("\"model_version\":")
-        .unwrap_or_else(|| panic!("no model_version in: {body}"))
-        .1
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("version")
-}
-
-/// Extracts the `(item, score)` list out of a `/recommend` success body.
-fn parse_items(body: &str) -> Vec<(u32, f32)> {
-    let inner = body
-        .split_once("\"items\":[")
-        .map(|(_, rest)| rest)
-        .and_then(|rest| rest.rsplit_once("]}"))
-        .map(|(items, _)| items)
-        .unwrap_or_else(|| panic!("no items array in: {body}"));
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    inner
-        .split("},{")
-        .map(|entry| {
-            let entry = entry.trim_matches(|c| c == '{' || c == '}');
-            let mut item = None;
-            let mut score = None;
-            for field in entry.split(',') {
-                let (key, value) = field.split_once(':').expect("field");
-                match key.trim_matches('"') {
-                    "item" => item = value.parse::<u32>().ok(),
-                    "score" => score = value.parse::<f32>().ok(),
-                    other => panic!("unexpected field `{other}`"),
-                }
-            }
-            (item.expect("item id"), score.expect("score"))
-        })
-        .collect()
-}
 
 /// A CKG where item `NEW_ITEM` exists in the id space but has zero edges.
 fn ckg_with_cold_item() -> Ckg {
@@ -186,16 +87,23 @@ fn explain_across_tick_at(batch_threads: usize) -> Vec<String> {
             &format!(
                 "{{\"user\": {user}, \"item\": {item}, \"threshold_milli\": {THRESHOLD_MILLI}}}"
             ),
-        );
+        )
+        .expect("post");
         assert_eq!(resp.status, 200, "{}", resp.body);
         let offline = model.explain_item(UserId(user), item, threshold).expect("explainable");
-        assert_eq!(json_str_field(&resp.body, "dot"), offline.dot, "(user {user}, item {item})");
+        assert_eq!(
+            str_field(&resp.body, "dot").expect("dot"),
+            offline.dot,
+            "(user {user}, item {item})"
+        );
         dots.push(offline.dot);
     }
 
     // Onboard the cold item through the live write path, then tick.
     assert_eq!(
-        post(addr, "/update", &format!("{{\"user\": 0, \"item\": {NEW_ITEM}}}")).status,
+        post(addr, "/update", &format!("{{\"user\": 0, \"item\": {NEW_ITEM}}}"))
+            .expect("post")
+            .status,
         200
     );
     let item_node = N_USERS + NEW_ITEM;
@@ -204,9 +112,10 @@ fn explain_across_tick_at(batch_threads: usize) -> Vec<String> {
         addr,
         "/update",
         &format!("{{\"head\": {item_node}, \"rel\": 1, \"tail\": {entity_node}}}"),
-    );
+    )
+    .expect("post");
     assert_eq!(r.status, 200, "{}", r.body);
-    assert_eq!(post(addr, "/update", "{\"refresh\": 1}").status, 200);
+    assert_eq!(post(addr, "/update", "{\"refresh\": 1}").expect("post").status, 200);
 
     // Post-tick, live explanations must match a from-scratch rebuild of
     // the final graph — including for the freshly onboarded item.
@@ -221,15 +130,16 @@ fn explain_across_tick_at(batch_threads: usize) -> Vec<String> {
             &format!(
                 "{{\"user\": {user}, \"item\": {item}, \"threshold_milli\": {THRESHOLD_MILLI}}}"
             ),
-        );
+        )
+        .expect("post");
         assert_eq!(resp.status, 200, "{}", resp.body);
         let offline = reference.explain_item(UserId(user), item, threshold).expect("explainable");
         assert_eq!(
-            json_str_field(&resp.body, "dot"),
+            str_field(&resp.body, "dot").expect("dot"),
             offline.dot,
             "post-tick explain diverged from rebuild for (user {user}, item {item})"
         );
-        assert_eq!(json_str_field(&resp.body, "text"), offline.text);
+        assert_eq!(str_field(&resp.body, "text").expect("text"), offline.text);
         dots.push(offline.dot);
     }
 
@@ -300,7 +210,7 @@ fn reload_during_a_slow_tick_neither_deadlocks_nor_serves_hybrids() {
     let clients: Vec<_> = (0..3 * N_USERS as u64)
         .map(|i| {
             std::thread::spawn(move || {
-                post(addr, "/recommend", &format!("{{\"user\": {}, \"top_k\": {N_ITEMS}}}", i % 6))
+                recommend(addr, i % 6, u64::from(N_ITEMS)).expect("recommend")
             })
         })
         .collect();
@@ -334,10 +244,9 @@ fn reload_during_a_slow_tick_neither_deadlocks_nor_serves_hybrids() {
     for client in clients {
         let resp = client.join().expect("client must not hang");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let user = resp.body.split_once("\"user\":").unwrap().1.chars().next().unwrap() as usize
-            - '0' as usize;
-        let got = parse_items(&resp.body);
-        let version = model_version_of(&resp.body);
+        let user = u64_field(&resp.body, "user").expect("user") as usize;
+        let got = items(&resp.body).expect("items");
+        let version = u64_field(&resp.body, "model_version").expect("model_version");
         let (refs, label) = match version {
             1 => ([&r1e0[user], &r1e1[user]], "generation 1"),
             2 => ([&r2e0[user], &r2e1[user]], "generation 2"),

@@ -139,46 +139,36 @@ enum WorkerExit {
     Tainted,
 }
 
+/// Counters, gauges and stage histograms shared by the [`Batcher`] and
+/// every worker it spawns.
+#[derive(Default)]
+struct PoolState {
+    batches: AtomicU64,
+    jobs: AtomicU64,
+    users_scored: AtomicU64,
+    panics_total: AtomicU64,
+    workers_respawned: AtomicU64,
+    workers_alive: AtomicU64,
+    queue_depth: AtomicU64,
+    shed_total: AtomicU64,
+    stage_queue: LatencyHistogram,
+    stage_fill: LatencyHistogram,
+    stage_warm: LatencyHistogram,
+    /// Set once shutdown begins; stops the supervisor respawning workers.
+    shutting_down: AtomicBool,
+}
+
 /// Everything a scoring worker needs; cloneable so the supervisor can mint
 /// replacement workers after a panic.
+#[derive(Clone)]
 struct WorkerCtx {
     job_rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     registry: Arc<ModelRegistry>,
     cache: Arc<SubgraphCache>,
-    batches: Arc<AtomicU64>,
-    jobs: Arc<AtomicU64>,
-    users_scored: Arc<AtomicU64>,
-    panics_total: Arc<AtomicU64>,
-    queue_depth: Arc<AtomicU64>,
-    workers_alive: Arc<AtomicU64>,
-    stage_queue: Arc<LatencyHistogram>,
-    stage_fill: Arc<LatencyHistogram>,
-    stage_warm: Arc<LatencyHistogram>,
+    state: Arc<PoolState>,
     notice_tx: mpsc::Sender<Notice>,
     max_batch: usize,
     batch_threads: usize,
-}
-
-impl Clone for WorkerCtx {
-    fn clone(&self) -> Self {
-        Self {
-            job_rx: Arc::clone(&self.job_rx),
-            registry: Arc::clone(&self.registry),
-            cache: Arc::clone(&self.cache),
-            batches: Arc::clone(&self.batches),
-            jobs: Arc::clone(&self.jobs),
-            users_scored: Arc::clone(&self.users_scored),
-            panics_total: Arc::clone(&self.panics_total),
-            queue_depth: Arc::clone(&self.queue_depth),
-            workers_alive: Arc::clone(&self.workers_alive),
-            stage_queue: Arc::clone(&self.stage_queue),
-            stage_fill: Arc::clone(&self.stage_fill),
-            stage_warm: Arc::clone(&self.stage_warm),
-            notice_tx: self.notice_tx.clone(),
-            max_batch: self.max_batch,
-            batch_threads: self.batch_threads,
-        }
-    }
 }
 
 impl WorkerCtx {
@@ -186,11 +176,11 @@ impl WorkerCtx {
     /// before the thread starts and decremented when it exits. A worker
     /// that exits tainted notifies the supervisor so it can respawn.
     fn spawn(&self) -> JoinHandle<()> {
-        saturating_inc(&self.workers_alive);
+        saturating_inc(&self.state.workers_alive);
         let ctx = self.clone();
         std::thread::spawn(move || {
             let exit = run_worker(&ctx);
-            saturating_dec(&ctx.workers_alive);
+            saturating_dec(&ctx.state.workers_alive);
             if matches!(exit, WorkerExit::Tainted) {
                 let _ = ctx.notice_tx.send(Notice::Tainted);
             }
@@ -200,22 +190,11 @@ impl WorkerCtx {
 
 /// The request queue: accepts requests and scores them on a self-healing,
 /// work-conserving worker pool over a shared [`SubgraphCache`].
-pub struct Batcher {
+pub(crate) struct Batcher {
     queue: Mutex<Option<mpsc::Sender<Job>>>,
     reply_timeout: Duration,
     max_queue_depth: u64,
-    queue_depth: Arc<AtomicU64>,
-    shed_total: Arc<AtomicU64>,
-    batches: Arc<AtomicU64>,
-    jobs: Arc<AtomicU64>,
-    users_scored: Arc<AtomicU64>,
-    panics_total: Arc<AtomicU64>,
-    workers_respawned: Arc<AtomicU64>,
-    workers_alive: Arc<AtomicU64>,
-    stage_queue: Arc<LatencyHistogram>,
-    stage_fill: Arc<LatencyHistogram>,
-    stage_warm: Arc<LatencyHistogram>,
-    shutting_down: Arc<AtomicBool>,
+    state: Arc<PoolState>,
     notice_tx: Mutex<Option<mpsc::Sender<Notice>>>,
     supervisor_thread: Mutex<Option<JoinHandle<()>>>,
 }
@@ -228,39 +207,19 @@ impl Batcher {
     /// `config.max_batch` queued jobs per batch and pins the registry once
     /// per batch, so a hot-swap landing mid-batch never mixes model
     /// generations within a batch.
-    pub fn start(
+    pub(crate) fn start(
         registry: Arc<ModelRegistry>,
         cache: Arc<SubgraphCache>,
         config: &ServeConfig,
     ) -> Self {
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let (notice_tx, notice_rx) = mpsc::channel::<Notice>();
-
-        let batches = Arc::new(AtomicU64::new(0));
-        let jobs = Arc::new(AtomicU64::new(0));
-        let users_scored = Arc::new(AtomicU64::new(0));
-        let panics_total = Arc::new(AtomicU64::new(0));
-        let workers_respawned = Arc::new(AtomicU64::new(0));
-        let workers_alive = Arc::new(AtomicU64::new(0));
-        let queue_depth = Arc::new(AtomicU64::new(0));
-        let stage_queue = Arc::new(LatencyHistogram::new());
-        let stage_fill = Arc::new(LatencyHistogram::new());
-        let stage_warm = Arc::new(LatencyHistogram::new());
-        let shutting_down = Arc::new(AtomicBool::new(false));
-
+        let state = Arc::new(PoolState::default());
         let ctx = WorkerCtx {
             job_rx: Arc::new(Mutex::new(job_rx)),
             registry,
             cache,
-            batches: Arc::clone(&batches),
-            jobs: Arc::clone(&jobs),
-            users_scored: Arc::clone(&users_scored),
-            panics_total: Arc::clone(&panics_total),
-            queue_depth: Arc::clone(&queue_depth),
-            workers_alive: Arc::clone(&workers_alive),
-            stage_queue: Arc::clone(&stage_queue),
-            stage_fill: Arc::clone(&stage_fill),
-            stage_warm: Arc::clone(&stage_warm),
+            state: Arc::clone(&state),
             notice_tx: notice_tx.clone(),
             max_batch: config.max_batch.max(1),
             batch_threads: config.batch_threads.max(1),
@@ -268,28 +227,15 @@ impl Batcher {
         let worker_threads: Vec<JoinHandle<()>> =
             (0..config.workers.max(1)).map(|_| ctx.spawn()).collect();
 
-        let s_respawned = Arc::clone(&workers_respawned);
-        let s_shutting_down = Arc::clone(&shutting_down);
         let supervisor_thread = std::thread::spawn(move || {
-            run_supervisor(&notice_rx, &ctx, worker_threads, &s_respawned, &s_shutting_down);
+            run_supervisor(&notice_rx, &ctx, worker_threads);
         });
 
         Self {
             queue: Mutex::new(Some(job_tx)),
             reply_timeout: config.reply_timeout,
             max_queue_depth: config.max_queue_depth.max(1) as u64,
-            queue_depth,
-            shed_total: Arc::new(AtomicU64::new(0)),
-            batches,
-            jobs,
-            users_scored,
-            panics_total,
-            workers_respawned,
-            workers_alive,
-            stage_queue,
-            stage_fill,
-            stage_warm,
-            shutting_down,
+            state,
             notice_tx: Mutex::new(Some(notice_tx)),
             supervisor_thread: Mutex::new(Some(supervisor_thread)),
         }
@@ -298,7 +244,7 @@ impl Batcher {
     /// Submits one request and blocks until its ranking is scored (or the
     /// queue shut down / shed the request / the reply timed out). The reply
     /// names the A/B variant and model version that produced it.
-    pub fn submit(&self, user: UserId, top_k: usize) -> Result<ScoredReply, ServeError> {
+    pub(crate) fn submit(&self, user: UserId, top_k: usize) -> Result<ScoredReply, ServeError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         {
             let queue = self.queue.lock();
@@ -307,17 +253,18 @@ impl Batcher {
             };
             // Admission control: claim a queue slot atomically, or shed.
             let admitted = self
+                .state
                 .queue_depth
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
                     (depth < self.max_queue_depth).then(|| depth.saturating_add(1))
                 })
                 .is_ok();
             if !admitted {
-                saturating_inc(&self.shed_total);
+                saturating_inc(&self.state.shed_total);
                 return Err(ServeError::Overloaded);
             }
             if tx.send(Job { user, top_k, enqueued: Instant::now(), reply: reply_tx }).is_err() {
-                saturating_dec(&self.queue_depth);
+                saturating_dec(&self.state.queue_depth);
                 return Err(ServeError::Unavailable);
             }
         }
@@ -331,34 +278,35 @@ impl Batcher {
     }
 
     /// Snapshot of batching, fault, and admission counters.
-    pub fn stats(&self) -> BatcherStats {
+    pub(crate) fn stats(&self) -> BatcherStats {
+        let s = &self.state;
         BatcherStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            jobs: self.jobs.load(Ordering::Relaxed),
-            users_scored: self.users_scored.load(Ordering::Relaxed),
-            panics_total: self.panics_total.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-            queue_p50_us: self.stage_queue.quantile_us(0.50),
-            queue_p95_us: self.stage_queue.quantile_us(0.95),
-            queue_p99_us: self.stage_queue.quantile_us(0.99),
-            fill_p50_us: self.stage_fill.quantile_us(0.50),
-            fill_p95_us: self.stage_fill.quantile_us(0.95),
-            fill_p99_us: self.stage_fill.quantile_us(0.99),
-            warm_p50_us: self.stage_warm.quantile_us(0.50),
-            warm_p95_us: self.stage_warm.quantile_us(0.95),
-            warm_p99_us: self.stage_warm.quantile_us(0.99),
+            batches: s.batches.load(Ordering::Relaxed),
+            jobs: s.jobs.load(Ordering::Relaxed),
+            users_scored: s.users_scored.load(Ordering::Relaxed),
+            panics_total: s.panics_total.load(Ordering::Relaxed),
+            workers_respawned: s.workers_respawned.load(Ordering::Relaxed),
+            workers_alive: s.workers_alive.load(Ordering::Relaxed),
+            queue_depth: s.queue_depth.load(Ordering::Relaxed),
+            shed_total: s.shed_total.load(Ordering::Relaxed),
+            queue_p50_us: s.stage_queue.quantile_us(0.50),
+            queue_p95_us: s.stage_queue.quantile_us(0.95),
+            queue_p99_us: s.stage_queue.quantile_us(0.99),
+            fill_p50_us: s.stage_fill.quantile_us(0.50),
+            fill_p95_us: s.stage_fill.quantile_us(0.95),
+            fill_p99_us: s.stage_fill.quantile_us(0.99),
+            warm_p50_us: s.stage_warm.quantile_us(0.50),
+            warm_p95_us: s.stage_warm.quantile_us(0.95),
+            warm_p99_us: s.stage_warm.quantile_us(0.99),
         }
     }
 
     /// Stops accepting work, drains queued and in-flight jobs, and joins
     /// every thread (including respawned workers). Idempotent; also runs on
     /// drop.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         // Respawns stop first, so a worker dying during drain stays dead.
-        self.shutting_down.store(true, Ordering::SeqCst);
+        self.state.shutting_down.store(true, Ordering::SeqCst);
         // Dropping the job sender lets the workers answer every job still
         // queued; each exits once the channel is empty and disconnected.
         self.queue.lock().take();
@@ -385,8 +333,6 @@ fn run_supervisor(
     notice_rx: &mpsc::Receiver<Notice>,
     ctx: &WorkerCtx,
     mut workers: Vec<JoinHandle<()>>,
-    respawned: &AtomicU64,
-    shutting_down: &AtomicBool,
 ) {
     loop {
         match notice_rx.recv() {
@@ -397,10 +343,10 @@ fn run_supervisor(
                     let _ = handle.join();
                 }
                 workers = live;
-                if shutting_down.load(Ordering::SeqCst) {
+                if ctx.state.shutting_down.load(Ordering::SeqCst) {
                     continue; // draining: the pool is allowed to shrink now
                 }
-                saturating_inc(respawned);
+                saturating_inc(&ctx.state.workers_respawned);
                 workers.push(ctx.spawn());
             }
             Ok(Notice::Shutdown) | Err(_) => break,
@@ -448,11 +394,11 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
         };
         let drained = Instant::now();
         for job in &batch {
-            ctx.stage_queue.record(micros(drained.saturating_duration_since(job.enqueued)));
+            ctx.state.stage_queue.record(micros(drained.saturating_duration_since(job.enqueued)));
         }
-        saturating_inc(&ctx.batches);
+        saturating_inc(&ctx.state.batches);
         for _ in 0..batch.len() {
-            saturating_inc(&ctx.jobs);
+            saturating_inc(&ctx.state.jobs);
         }
         let mut by_user: HashMap<u32, Vec<Job>> = HashMap::new();
         for job in batch {
@@ -484,7 +430,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 let fill_started = Instant::now();
                 let (graph, hit) = ctx.cache.get_or_insert(user, version, || bctx.build(user));
                 if !hit {
-                    ctx.stage_fill.record(micros(fill_started.elapsed()));
+                    ctx.state.stage_fill.record(micros(fill_started.elapsed()));
                 }
                 // Attribute the cache outcome to the variant only once the
                 // build actually resolved (a panicking build propagates
@@ -492,7 +438,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 ctx.registry.record_cache(variant, hit);
                 let warm_started = Instant::now();
                 let scores = model.service().score_graph_pooled(pool, &graph);
-                ctx.stage_warm.record(micros(warm_started.elapsed()));
+                ctx.state.stage_warm.record(micros(warm_started.elapsed()));
                 scores
             },
         );
@@ -503,10 +449,10 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
             let model = &pin.models()[variants[i]];
             match result {
                 Ok(scores) => {
-                    saturating_inc(&ctx.users_scored);
+                    saturating_inc(&ctx.state.users_scored);
                     for job in jobs {
                         let ranking = rank_top_k(&scores, job.top_k);
-                        saturating_dec(&ctx.queue_depth);
+                        saturating_dec(&ctx.state.queue_depth);
                         let _ = job.reply.send(Ok(ScoredReply {
                             variant: variants[i],
                             variant_name: Arc::clone(model.name()),
@@ -517,9 +463,9 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 }
                 Err(message) => {
                     tainted = true;
-                    saturating_inc(&ctx.panics_total);
+                    saturating_inc(&ctx.state.panics_total);
                     for job in jobs {
-                        saturating_dec(&ctx.queue_depth);
+                        saturating_dec(&ctx.state.queue_depth);
                         let _ = job.reply.send(Err(ServeError::Internal(format!(
                             "scoring panicked: {message}"
                         ))));

@@ -84,7 +84,7 @@ struct Inner {
 
 /// An LRU-style cache of per-user pruned subgraphs with hit/miss counters
 /// and capacity-based eviction.
-pub struct SubgraphCache {
+pub(crate) struct SubgraphCache {
     capacity: usize,
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -151,11 +151,6 @@ impl SubgraphCache {
             patched: AtomicU64::new(0),
             inner: Mutex::new(Inner { map: HashMap::new(), tick: 0 }),
         }
-    }
-
-    /// Maximum number of resident entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// LRU-touches and returns the resident entry for `user` (graph handle
@@ -272,16 +267,6 @@ impl SubgraphCache {
         (graph, false)
     }
 
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// True when no subgraphs are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot of counters and footprint.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock();
@@ -339,7 +324,7 @@ mod tests {
         // Touch user 1 so user 2 becomes the LRU victim.
         assert!(fill(&cache, 1));
         fill(&cache, 3);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(fill(&cache, 1) && fill(&cache, 3), "recently used entries stay resident");
         assert!(!fill(&cache, 2), "LRU entry must be evicted");
@@ -420,10 +405,9 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let cache = SubgraphCache::new(0);
-        assert_eq!(cache.capacity(), 1);
         fill(&cache, 1);
         fill(&cache, 2);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //!                                      └──── tape-free forward┘──► top-k
 //! ```
 //!
-//! Components, each usable on its own:
+//! Components:
 //!
-//! - [`SubgraphCache`] — an LRU-style user-context cache memoizing the
+//! - `SubgraphCache` — an LRU-style user-context cache memoizing the
 //!   PPR-pruned layered subgraph per user id, with hit/miss counters.
 //!   Repeat requests skip pruning entirely and go straight to the forward
 //!   pass.
-//! - [`Batcher`] — a `std::sync::mpsc` request queue drained directly by a
+//! - `Batcher` — a `std::sync::mpsc` request queue drained directly by a
 //!   work-conserving worker pool: a worker takes one job plus whatever is
 //!   already queued, up to `max_batch`, and never waits for more (duplicate
 //!   users in a batch are scored once).
@@ -32,7 +32,15 @@
 //!   saturating arithmetic.
 //! - [`Server`] — a dependency-free HTTP/1.1 frontend on
 //!   `std::net::TcpListener` exposing `POST /recommend`, `GET /healthz`,
-//!   and `GET /metrics`, with graceful shutdown.
+//!   and `GET /metrics`, with graceful shutdown. It owns the cache and the
+//!   batcher; [`ServerHandle`] reports their counters.
+//! - [`client`] — the matching blocking HTTP client and response readers.
+//!
+//! A sharded deployment (DESIGN.md §17) is N ordinary servers, one per
+//! `kucnet::ShardService`. The caller sends each request to the server at
+//! `kucnet_graph::shard_of(user, N)`, so every server's cache holds only
+//! its own shard's users and `/metrics`, `/explain` and `/admin` work per
+//! shard unchanged.
 //!
 //! ## Example
 //! ```no_run
@@ -54,22 +62,21 @@
 
 mod batch;
 mod cache;
+pub mod client;
 mod fault;
 mod http;
 mod metrics;
 mod registry;
 mod server;
-mod shard;
 mod update;
 
-pub use batch::{Batcher, BatcherStats, Ranking, ScoredReply};
-pub use cache::{CacheStats, CacheVersion, SubgraphCache};
+pub use batch::{BatcherStats, Ranking, ScoredReply};
+pub use cache::{CacheStats, CacheVersion};
 pub use fault::{FaultConfig, FaultStats, FaultyService, InjectedFault};
 pub use http::{http_request, HttpRequest};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
 pub use registry::{route_variant, ModelLoader, ModelRegistry, PinnedModel, RegistryPin};
 pub use server::{Server, ServerHandle};
-pub use shard::ShardRouter;
 pub use update::{AppendAck, GraphUpdater, RefreshAck};
 
 use std::time::Duration;

@@ -87,8 +87,8 @@ struct VariantState {
 /// Build one with [`ModelRegistry::new`] + [`ModelRegistry::register`]
 /// (requires `&mut self`, so registration finishes before the registry is
 /// shared), then wrap it in an `Arc` and hand it to
-/// `Server::start_full`. All runtime operations ([`reload`], [`pin`],
-/// [`set_weights`]) take `&self`.
+/// [`Server::start_full`](crate::Server::start_full). All runtime
+/// operations ([`reload`], [`pin`], [`set_weights`]) take `&self`.
 ///
 /// [`reload`]: ModelRegistry::reload
 /// [`pin`]: ModelRegistry::pin
@@ -116,8 +116,10 @@ impl ModelRegistry {
     }
 
     /// A single-variant registry (`"default"`, weight 100) around `service`
-    /// — what [`Server::start`](crate::Server::start) wraps a plain service
-    /// in.
+    /// — what [`Server::start`](crate::Server::start) and
+    /// [`Server::start_dynamic`](crate::Server::start_dynamic) wrap a plain
+    /// service in before calling
+    /// [`Server::start_full`](crate::Server::start_full).
     pub fn single(service: Arc<dyn ScoreService>, seed: u64) -> Self {
         let mut registry = Self::new(seed);
         // audit: allow(no-panic) — the first registration into an empty registry cannot fail

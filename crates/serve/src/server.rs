@@ -87,7 +87,7 @@ impl Server {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<ServerHandle> {
         let registry = Arc::new(ModelRegistry::single(service, config.ab_seed));
-        Self::start_inner(registry, None, None, config, addr)
+        Self::start_full(registry, None, None, config, addr)
     }
 
     /// [`Server::start`] with a graph write path: `POST /update` routes
@@ -103,7 +103,7 @@ impl Server {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<ServerHandle> {
         let registry = Arc::new(ModelRegistry::single(service, config.ab_seed));
-        Self::start_inner(registry, None, Some(updater), config, addr)
+        Self::start_full(registry, None, Some(updater), config, addr)
     }
 
     /// The fully explicit constructor: a pre-built (possibly multi-variant)
@@ -111,16 +111,6 @@ impl Server {
     /// `POST /admin/reload`, and an optional graph `updater` backing
     /// `POST /update`. `registry` must have at least one variant.
     pub fn start_full(
-        registry: Arc<ModelRegistry>,
-        loader: Option<Arc<dyn ModelLoader>>,
-        updater: Option<Arc<dyn GraphUpdater>>,
-        config: ServeConfig,
-        addr: impl ToSocketAddrs,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_inner(registry, loader, updater, config, addr)
-    }
-
-    fn start_inner(
         registry: Arc<ModelRegistry>,
         loader: Option<Arc<dyn ModelLoader>>,
         updater: Option<Arc<dyn GraphUpdater>>,
@@ -612,7 +602,7 @@ fn handle_update(body: &[u8], shared: &Shared) -> Result<String, ServeError> {
 }
 
 /// Renders the `/recommend` success body with model attribution.
-fn render_ranking(user: u64, top_k: usize, reply: &ScoredReply) -> String {
+pub(crate) fn render_ranking(user: u64, top_k: usize, reply: &ScoredReply) -> String {
     let mut body = format!(
         "{{\"user\":{user},\"top_k\":{top_k},\"variant\":\"{}\",\"model_version\":{},\"items\":[",
         json_escape(&reply.variant_name),

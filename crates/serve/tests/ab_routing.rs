@@ -3,56 +3,15 @@
 //! `batch_threads` settings and server restarts — and realized traffic
 //! splits must track the configured weights.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use kucnet::ScoreService;
 use kucnet_graph::{LayeredGraph, NodeId, UserId};
+use kucnet_serve::client::{get, metric, post, recommend, str_field};
 use kucnet_serve::{route_variant, ModelRegistry, ServeConfig, Server};
 
 const N_USERS: usize = 256;
 const N_ITEMS: usize = 16;
-
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-/// Sends one raw HTTP request and reads the full response.
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-/// POSTs a JSON body to `path` and returns the parsed response.
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Response {
-    let raw =
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    send(addr, &raw)
-}
-
-/// Extracts the `"variant":"name"` attribution from a success body.
-fn variant_of(body: &str) -> String {
-    body.split_once("\"variant\":\"")
-        .unwrap_or_else(|| panic!("no variant in: {body}"))
-        .1
-        .split_once('"')
-        .expect("unterminated variant")
-        .0
-        .to_string()
-}
 
 /// A trivial deterministic model stub tagged per variant.
 struct StubService {
@@ -150,9 +109,9 @@ fn served_assignment_is_stable_across_batch_threads_and_restarts() {
         let addr = handle.addr();
         let assignments: Vec<String> = (0..64u64)
             .map(|user| {
-                let resp = post(addr, "/recommend", &format!("{{\"user\": {user}, \"top_k\": 3}}"));
+                let resp = recommend(addr, user, 3).expect("recommend");
                 assert_eq!(resp.status, 200, "{}", resp.body);
-                variant_of(&resp.body)
+                str_field(&resp.body, "variant").expect("variant")
             })
             .collect();
         assert_eq!(
@@ -183,23 +142,24 @@ fn admin_ab_rebalances_routing_and_metrics_report_weights() {
     let addr = handle.addr();
 
     // Flip all traffic to treatment.
-    let resp = post(addr, "/admin/ab", "{\"control\": 0, \"treatment\": 100}");
+    let resp = post(addr, "/admin/ab", "{\"control\": 0, \"treatment\": 100}").expect("post");
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("\"control\":0"), "{}", resp.body);
     assert!(resp.body.contains("\"treatment\":100"), "{}", resp.body);
     for user in 0..32u64 {
-        let resp = post(addr, "/recommend", &format!("{{\"user\": {user}, \"top_k\": 3}}"));
+        let resp = recommend(addr, user, 3).expect("recommend");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        assert_eq!(variant_of(&resp.body), "treatment", "user {user}: {}", resp.body);
+        let variant = str_field(&resp.body, "variant").expect("variant");
+        assert_eq!(variant, "treatment", "user {user}: {}", resp.body);
     }
 
     // Invalid updates are 400s and leave weights untouched.
     for bad in ["{}", "{\"nope\": 10}", "{\"quant.control\": 1}", "not json"] {
-        let resp = post(addr, "/admin/ab", bad);
+        let resp = post(addr, "/admin/ab", bad).expect("post");
         assert_eq!(resp.status, 400, "body {bad:?}: {}", resp.body);
     }
 
-    let metrics = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let metrics = get(addr, "/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);
     for line in [
         "kucnet_variant_control_weight 0",
@@ -213,11 +173,7 @@ fn admin_ab_rebalances_routing_and_metrics_report_weights() {
         );
     }
     // Treatment absorbed the post-rebalance traffic.
-    let treated: f64 = metrics
-        .body
-        .lines()
-        .find_map(|l| l.strip_prefix("kucnet_variant_treatment_requests").map(str::trim))
-        .and_then(|v| v.parse().ok())
+    let treated = metric(&metrics.body, "kucnet_variant_treatment_requests")
         .expect("treatment request counter");
     assert!(treated >= 32.0, "expected ≥32 treatment requests:\n{}", metrics.body);
 

@@ -8,53 +8,14 @@
 //! instead of queueing without bound, and every counter stays consistent
 //! (`hits + misses == lookups`, `panics_total > 0` after injected panics).
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kucnet_graph::{LayeredGraph, NodeId, UserId};
+use kucnet_serve::client::{get, metric, recommend, Response};
 use kucnet_serve::{FaultConfig, FaultyService, ScoreService, ServeConfig, Server, ServerHandle};
-
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-/// Sends one raw HTTP request and reads the full response.
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-/// POSTs `/recommend` for `user` and returns the parsed response.
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> Response {
-    let body = format!("{{\"user\": {user}, \"top_k\": {top_k}}}");
-    let raw = format!(
-        "POST /recommend HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    send(addr, &raw)
-}
-
-/// Pulls one `name value` metric line out of a `/metrics` body.
-fn metric(body: &str, name: &str) -> f64 {
-    body.lines()
-        .find_map(|line| line.strip_prefix(name).map(|rest| rest.trim()))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric `{name}` missing in:\n{body}"))
-}
 
 /// A fast deterministic model stub: user `u` scores item `i` as
 /// `(u * 31 + i * 17) % 97`. No training, so chaos runs stay quick.
@@ -134,7 +95,7 @@ fn burst_under_panics_completes_heals_and_counts() {
             std::thread::spawn(move || {
                 let started = Instant::now();
                 // 100 distinct users, so every request exercises a build.
-                let resp = recommend(addr, i % 100, 5);
+                let resp = recommend(addr, i % 100, 5).expect("recommend");
                 (i, resp, started.elapsed())
             })
         })
@@ -166,19 +127,20 @@ fn burst_under_panics_completes_heals_and_counts() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         // Post-heal request; retry on an (unlucky) injected panic.
-        if recommend(addr, 200, 3).status == 200 {
+        if recommend(addr, 200, 3).expect("recommend").status == 200 {
             break;
         }
         assert!(Instant::now() < deadline, "server never recovered");
     }
 
     // Fault accounting is visible end-to-end through /metrics.
-    let metrics = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let metrics = get(addr, "/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);
-    assert!(metric(&metrics.body, "kucnet_panics_total") > 0.0, "{}", metrics.body);
-    assert!(metric(&metrics.body, "kucnet_workers_respawned") > 0.0, "{}", metrics.body);
-    assert_eq!(metric(&metrics.body, "kucnet_workers_alive"), 3.0, "{}", metrics.body);
-    assert_eq!(metric(&metrics.body, "kucnet_queue_depth"), 0.0, "{}", metrics.body);
+    let read = |name| metric(&metrics.body, name).expect(name);
+    assert!(read("kucnet_panics_total") > 0.0, "{}", metrics.body);
+    assert!(read("kucnet_workers_respawned") > 0.0, "{}", metrics.body);
+    assert_eq!(read("kucnet_workers_alive"), 3.0, "{}", metrics.body);
+    assert_eq!(read("kucnet_queue_depth"), 0.0, "{}", metrics.body);
 
     // Cache counters stay balanced even with panicking builds in the mix.
     let cache = handle.cache_stats();
@@ -213,7 +175,7 @@ fn one_panicking_user_in_a_mixed_batch_gets_500_rest_get_200() {
         .map(|u| {
             std::thread::spawn(move || {
                 let started = Instant::now();
-                let resp = recommend(addr, u, 5);
+                let resp = recommend(addr, u, 5).expect("recommend");
                 (u, resp, started.elapsed())
             })
         })
@@ -231,7 +193,7 @@ fn one_panicking_user_in_a_mixed_batch_gets_500_rest_get_200() {
 
     // The single tainted worker is replaced and keeps serving.
     wait_for_heal(&handle, 1, Duration::from_secs(10));
-    assert_eq!(recommend(addr, 1, 3).status, 200, "healed pool must serve");
+    assert_eq!(recommend(addr, 1, 3).expect("recommend").status, 200, "healed pool must serve");
     handle.shutdown();
 }
 
@@ -255,8 +217,9 @@ fn queue_overflow_sheds_503_and_counts() {
     let handle = start_chaos_server(faults, config);
     let addr = handle.addr();
 
-    let clients: Vec<_> =
-        (0..6u64).map(|u| std::thread::spawn(move || recommend(addr, u, 3))).collect();
+    let clients: Vec<_> = (0..6u64)
+        .map(|u| std::thread::spawn(move || recommend(addr, u, 3).expect("recommend")))
+        .collect();
     let responses: Vec<Response> = clients.into_iter().map(|c| c.join().expect("client")).collect();
     let ok = responses.iter().filter(|r| r.status == 200).count();
     let shed = responses.iter().filter(|r| r.status == 503).count();
@@ -271,8 +234,9 @@ fn queue_overflow_sheds_503_and_counts() {
         );
     }
 
-    let metrics = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-    assert!(metric(&metrics.body, "kucnet_shed_total") >= shed as f64, "{}", metrics.body);
+    let metrics = get(addr, "/metrics").expect("metrics");
+    let shed_total = metric(&metrics.body, "kucnet_shed_total").expect("kucnet_shed_total");
+    assert!(shed_total >= shed as f64, "{}", metrics.body);
     handle.shutdown();
 }
 
@@ -290,8 +254,9 @@ fn connection_cap_sheds_503_inline() {
     let handle = start_chaos_server(faults, config);
     let addr = handle.addr();
 
-    let clients: Vec<_> =
-        (0..6u64).map(|u| std::thread::spawn(move || recommend(addr, u, 3))).collect();
+    let clients: Vec<_> = (0..6u64)
+        .map(|u| std::thread::spawn(move || recommend(addr, u, 3).expect("recommend")))
+        .collect();
     let responses: Vec<Response> = clients.into_iter().map(|c| c.join().expect("client")).collect();
     let ok = responses.iter().filter(|r| r.status == 200).count();
     let shed = responses.iter().filter(|r| r.status == 503).count();
@@ -302,7 +267,7 @@ fn connection_cap_sheds_503_inline() {
     // After the burst drains, the cap frees up and the server serves again.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if recommend(addr, 9, 3).status == 200 {
+        if recommend(addr, 9, 3).expect("recommend").status == 200 {
             break;
         }
         assert!(Instant::now() < deadline, "cap never released");
@@ -325,14 +290,14 @@ fn half_open_client_is_cut_loose_and_server_stays_live() {
     // No more bytes ever arrive on this connection.
 
     // Healthy clients are unaffected while the stalled one is pending.
-    assert_eq!(recommend(addr, 1, 3).status, 200);
+    assert_eq!(recommend(addr, 1, 3).expect("recommend").status, 200);
 
     // The stalled connection is closed by the server within bounded time:
     // reading it must finish (error response or EOF), never hang.
     let started = Instant::now();
     stalled.set_read_timeout(Some(Duration::from_secs(5))).expect("client read timeout");
     let mut sink = String::new();
-    let read = BufReader::new(stalled).read_to_string(&mut sink);
+    let read = stalled.read_to_string(&mut sink);
     assert!(
         read.is_ok(),
         "server must close the half-open connection, got {read:?} after {:?}",
@@ -341,7 +306,7 @@ fn half_open_client_is_cut_loose_and_server_stays_live() {
     assert!(started.elapsed() < Duration::from_secs(5), "half-open teardown took too long");
 
     // And the server is still fully live.
-    assert_eq!(recommend(addr, 2, 3).status, 200);
-    assert_eq!(send(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").status, 200);
+    assert_eq!(recommend(addr, 2, 3).expect("recommend").status, 200);
+    assert_eq!(get(addr, "/healthz").expect("healthz").status, 200);
     handle.shutdown();
 }

@@ -5,85 +5,13 @@
 //! an audit artifact; any drift between the paper-figure path and the live
 //! endpoint would make served explanations unciteable.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use kucnet::{explain, KucNet, KucNetConfig, ScoreService};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
 use kucnet_graph::{ItemId, UserId};
+use kucnet_serve::client::{post, str_field, u64_field};
 use kucnet_serve::{ServeConfig, Server};
-
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-/// Sends one raw HTTP request and reads the full response.
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-/// POSTs a JSON body to `path` and returns the parsed response.
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Response {
-    let raw =
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    send(addr, &raw)
-}
-
-/// Extracts and JSON-unescapes the string field `key` from a flat JSON
-/// body (inverse of the server's `json_escape`).
-fn json_str_field(body: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":\"");
-    let rest = body.split_once(&needle).unwrap_or_else(|| panic!("no `{key}` field in: {body}")).1;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return out,
-            '\\' => match chars.next().expect("dangling escape") {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).map(|_| chars.next().expect("short \\u")).collect();
-                    let code = u32::from_str_radix(&hex, 16).expect("hex escape");
-                    out.push(char::from_u32(code).expect("valid code point"));
-                }
-                other => panic!("unexpected escape \\{other} in `{key}`"),
-            },
-            c => out.push(c),
-        }
-    }
-    panic!("unterminated `{key}` string in: {body}")
-}
-
-/// Extracts a bare numeric field from a flat JSON body.
-fn json_u64_field(body: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    body.split_once(&needle)
-        .unwrap_or_else(|| panic!("no `{key}` field in: {body}"))
-        .1
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("numeric field")
-}
 
 /// Trains the pinned tiny model and picks the 5 pinned `(user, item)`
 /// pairs: the first 5 users with at least one interaction, paired with
@@ -145,10 +73,11 @@ fn live_explain_is_byte_identical_to_offline_dot_extraction() {
                     "{{\"user\": {}, \"item\": {}, \"threshold_milli\": {THRESHOLD_MILLI}}}",
                     user.0, item.0
                 ),
-            );
+            )
+            .expect("post");
             assert_eq!(resp.status, 200, "{}", resp.body);
             assert_eq!(
-                json_str_field(&resp.body, "dot"),
+                str_field(&resp.body, "dot").expect("dot"),
                 *dot,
                 "DOT drifted from offline extraction for (user {}, item {}) at \
                  batch_threads={batch_threads}",
@@ -156,15 +85,15 @@ fn live_explain_is_byte_identical_to_offline_dot_extraction() {
                 item.0
             );
             assert_eq!(
-                json_str_field(&resp.body, "text"),
+                str_field(&resp.body, "text").expect("text"),
                 *text,
                 "text drifted for (user {}, item {})",
                 user.0,
                 item.0
             );
-            assert_eq!(json_u64_field(&resp.body, "n_edges"), *n_edges as u64);
-            assert_eq!(json_u64_field(&resp.body, "model_version"), 1);
-            assert_eq!(json_u64_field(&resp.body, "threshold_milli"), u64::from(THRESHOLD_MILLI));
+            assert_eq!(u64_field(&resp.body, "n_edges"), Some(*n_edges as u64));
+            assert_eq!(u64_field(&resp.body, "model_version"), Some(1));
+            assert_eq!(u64_field(&resp.body, "threshold_milli"), Some(u64::from(THRESHOLD_MILLI)));
         }
         handle.shutdown();
     }
@@ -188,17 +117,21 @@ fn explain_validates_inputs_and_default_threshold() {
     let addr = handle.addr();
 
     // Omitted threshold_milli falls back to 500 (= 0.5).
-    let resp = post(addr, "/explain", &format!("{{\"user\": {}, \"item\": {}}}", user.0, item.0));
+    let resp = post(addr, "/explain", &format!("{{\"user\": {}, \"item\": {}}}", user.0, item.0))
+        .expect("post");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    assert_eq!(json_str_field(&resp.body, "dot"), expected);
-    assert_eq!(json_u64_field(&resp.body, "threshold_milli"), 500);
+    assert_eq!(str_field(&resp.body, "dot").expect("dot"), expected);
+    assert_eq!(u64_field(&resp.body, "threshold_milli"), Some(500));
 
     // Out-of-range user → 404; out-of-range item or threshold → 400.
-    let resp = post(addr, "/explain", &format!("{{\"user\": {n_users}, \"item\": 0}}"));
+    let resp =
+        post(addr, "/explain", &format!("{{\"user\": {n_users}, \"item\": 0}}")).expect("post");
     assert_eq!(resp.status, 404, "{}", resp.body);
-    let resp = post(addr, "/explain", &format!("{{\"user\": 0, \"item\": {n_items}}}"));
+    let resp =
+        post(addr, "/explain", &format!("{{\"user\": 0, \"item\": {n_items}}}")).expect("post");
     assert_eq!(resp.status, 400, "{}", resp.body);
-    let resp = post(addr, "/explain", "{\"user\": 0, \"item\": 0, \"threshold_milli\": 1001}");
+    let resp = post(addr, "/explain", "{\"user\": 0, \"item\": 0, \"threshold_milli\": 1001}")
+        .expect("post");
     assert_eq!(resp.status, 400, "{}", resp.body);
 
     handle.shutdown();

@@ -6,84 +6,13 @@
 //! `kucnet_eval::top_n_indices`, so the served ranking must match the
 //! offline ranking item-for-item and score-for-score.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use kucnet::{KucNet, KucNetConfig, ScoreService};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
 use kucnet_eval::top_n_indices;
+use kucnet_serve::client::{self, get, items, metric, recommend};
 use kucnet_serve::{ServeConfig, Server, ServerHandle};
-
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-/// Sends one raw HTTP request and reads the full response.
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-/// POSTs `/recommend` for `user` and returns the parsed response.
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> Response {
-    let body = format!("{{\"user\": {user}, \"top_k\": {top_k}}}");
-    let raw = format!(
-        "POST /recommend HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    send(addr, &raw)
-}
-
-/// Extracts the `(item, score)` list out of a `/recommend` success body.
-fn parse_items(body: &str) -> Vec<(u32, f32)> {
-    let inner = body
-        .split_once("\"items\":[")
-        .map(|(_, rest)| rest)
-        .and_then(|rest| rest.rsplit_once("]}"))
-        .map(|(items, _)| items)
-        .unwrap_or_else(|| panic!("no items array in: {body}"));
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    inner
-        .split("},{")
-        .map(|entry| {
-            let entry = entry.trim_matches(|c| c == '{' || c == '}');
-            let mut item = None;
-            let mut score = None;
-            for field in entry.split(',') {
-                let (key, value) = field.split_once(':').expect("field");
-                match key.trim_matches('"') {
-                    "item" => item = value.parse::<u32>().ok(),
-                    "score" => score = value.parse::<f32>().ok(),
-                    other => panic!("unexpected field `{other}` in: {body}"),
-                }
-            }
-            (item.expect("item id"), score.expect("score"))
-        })
-        .collect()
-}
-
-/// Pulls one `name value` metric line out of a `/metrics` body.
-fn metric(body: &str, name: &str) -> f64 {
-    body.lines()
-        .find_map(|line| line.strip_prefix(name).map(|rest| rest.trim()))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric `{name}` missing in:\n{body}"))
-}
 
 /// Trains a small model and starts a server over it.
 fn start_test_server() -> (Arc<KucNet>, ServerHandle) {
@@ -123,9 +52,9 @@ fn served_rankings_match_offline_eval_exactly() {
         for user in 0..model.n_users() as u64 {
             let expected = offline[user as usize].clone();
             join.push(std::thread::spawn(move || {
-                let resp = recommend(addr, user, top_k as u64);
+                let resp = recommend(addr, user, top_k as u64).expect("recommend");
                 assert_eq!(resp.status, 200, "user {user} pass {pass}: {}", resp.body);
-                let got = parse_items(&resp.body);
+                let got = items(&resp.body).expect("items");
                 assert_eq!(got, expected, "rank mismatch for user {user}");
             }));
         }
@@ -137,15 +66,16 @@ fn served_rankings_match_offline_eval_exactly() {
     // Sequential repeats after the storm: user 0 is resident (the cache
     // never evicts in this test), so these are guaranteed hits.
     for _ in 0..3 {
-        assert_eq!(recommend(addr, 0, top_k as u64).status, 200);
+        assert_eq!(recommend(addr, 0, top_k as u64).expect("recommend").status, 200);
     }
 
     // Repeat requests for the same user must have hit the subgraph cache.
-    let metrics = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let metrics = get(addr, "/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);
-    assert!(metric(&metrics.body, "kucnet_cache_hit_rate") > 0.0, "{}", metrics.body);
-    assert!(metric(&metrics.body, "kucnet_requests_total") >= (2 * model.n_users()) as f64);
-    assert!(metric(&metrics.body, "kucnet_latency_p50_us") > 0.0);
+    let read = |name| metric(&metrics.body, name).expect(name);
+    assert!(read("kucnet_cache_hit_rate") > 0.0, "{}", metrics.body);
+    assert!(read("kucnet_requests_total") >= (2 * model.n_users()) as f64);
+    assert!(read("kucnet_latency_p50_us") > 0.0);
 
     handle.shutdown();
 }
@@ -156,29 +86,26 @@ fn invalid_requests_get_4xx_not_panics() {
     let addr = handle.addr();
 
     // Unknown user id: 404.
-    let resp = recommend(addr, model.n_users() as u64 + 10, 3);
+    let resp = recommend(addr, model.n_users() as u64 + 10, 3).expect("recommend");
     assert_eq!(resp.status, 404, "{}", resp.body);
 
     // top_k out of range: 400.
-    assert_eq!(recommend(addr, 0, 0).status, 400);
-    assert_eq!(recommend(addr, 0, 1_000_000).status, 400);
+    assert_eq!(recommend(addr, 0, 0).expect("recommend").status, 400);
+    assert_eq!(recommend(addr, 0, 1_000_000).expect("recommend").status, 400);
 
     // Malformed JSON bodies: 400.
     for body in ["not json", "{\"user\": \"x\"}", "{\"user\": 1, \"bogus\": 2}", "[1]"] {
-        let raw = format!(
-            "POST /recommend HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        assert_eq!(send(addr, &raw).status, 400, "body `{body}` must be rejected");
+        let resp = client::post(addr, "/recommend", body).expect("post");
+        assert_eq!(resp.status, 400, "body `{body}` must be rejected");
     }
 
     // Missing route and wrong method.
-    assert_eq!(send(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").status, 404);
-    assert_eq!(send(addr, "GET /recommend HTTP/1.1\r\nHost: t\r\n\r\n").status, 405);
+    assert_eq!(get(addr, "/nope").expect("get").status, 404);
+    assert_eq!(get(addr, "/recommend").expect("get").status, 405);
 
     // The server still works after all that abuse.
-    assert_eq!(recommend(addr, 0, 3).status, 200);
-    assert_eq!(send(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").status, 200);
+    assert_eq!(recommend(addr, 0, 3).expect("recommend").status, 200);
+    assert_eq!(get(addr, "/healthz").expect("get").status, 200);
 
     handle.shutdown();
 }
@@ -209,9 +136,10 @@ fn serving_a_checkpoint_restored_model_matches_the_original() {
     let service: Arc<dyn ScoreService> = Arc::new(restored);
     let handle =
         Server::start(service, ServeConfig::default(), "127.0.0.1:0").expect("bind server");
-    let resp = recommend(handle.addr(), 3, top_k as u64);
+    let resp = recommend(handle.addr(), 3, top_k as u64).expect("recommend");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    assert_eq!(parse_items(&resp.body), offline, "restored model must serve identical rankings");
+    let served = items(&resp.body).expect("items");
+    assert_eq!(served, offline, "restored model must serve identical rankings");
     handle.shutdown();
 }
 
@@ -219,14 +147,9 @@ fn serving_a_checkpoint_restored_model_matches_the_original() {
 fn shutdown_is_graceful_and_idempotent() {
     let (_, handle) = start_test_server();
     let addr = handle.addr();
-    assert_eq!(recommend(addr, 0, 2).status, 200);
+    assert_eq!(recommend(addr, 0, 2).expect("recommend").status, 200);
     handle.shutdown();
     handle.shutdown(); // second call must be a no-op
-    assert!(
-        TcpStream::connect(addr).is_err() || {
-            // The OS may briefly accept on a dying listener; a request must
-            // at least not hang or return a ranking.
-            true
-        }
-    );
+                       // The listener is gone: a request must not hang or return a ranking.
+    assert!(recommend(addr, 0, 2).map_or(true, |r| r.status != 200));
 }

@@ -14,8 +14,6 @@
 //!   cache invariant `hits + misses == lookups` survives the version flip
 //!   (model-version stamps make old entries lazily stale, never wrong).
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,6 +21,7 @@ use kucnet::{KucNet, KucNetConfig, ScoreService};
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
 use kucnet_eval::top_n_indices;
 use kucnet_graph::{Ckg, LayeredGraph, NodeId, UserId};
+use kucnet_serve::client::{self, get, metric, post, recommend};
 use kucnet_serve::{
     FaultConfig, FaultyService, ModelLoader, ModelRegistry, ServeConfig, Server, ServerHandle,
 };
@@ -30,66 +29,14 @@ use kucnet_serve::{
 const N_USERS: usize = 256;
 const N_ITEMS: usize = 32;
 
-/// A parsed HTTP response: status code and body.
-struct Response {
-    status: u16,
-    body: String,
-}
-
-/// Sends one raw HTTP request and reads the full response.
-fn send(addr: std::net::SocketAddr, raw: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    reader.read_to_string(&mut text).expect("read response");
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {text}"));
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Response { status, body }
-}
-
-/// POSTs a JSON body to `path` and returns the parsed response.
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Response {
-    let raw =
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-    send(addr, &raw)
-}
-
-/// POSTs `/recommend` for `user` and returns the parsed response.
-fn recommend(addr: std::net::SocketAddr, user: u64, top_k: u64) -> Response {
-    post(addr, "/recommend", &format!("{{\"user\": {user}, \"top_k\": {top_k}}}"))
-}
-
-/// Pulls one `name value` metric line out of a `/metrics` body.
-fn metric(body: &str, name: &str) -> f64 {
-    body.lines()
-        .find_map(|line| line.strip_prefix(name).map(|rest| rest.trim()))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric `{name}` missing in:\n{body}"))
-}
-
-/// Extracts the `"model_version":N` attribution from a success body.
+/// The `model_version` a success body is attributed to.
 fn model_version_of(body: &str) -> u64 {
-    let rest = body
-        .split_once("\"model_version\":")
-        .unwrap_or_else(|| panic!("no model_version in: {body}"))
-        .1;
-    rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().expect("version")
+    client::u64_field(body, "model_version").expect("model_version")
 }
 
-/// Extracts the ranked item ids (in order) from a success body.
+/// The ranked item ids (in order) of a success body.
 fn items_of(body: &str) -> Vec<u32> {
-    let rest = body.split_once("\"items\":[").unwrap_or_else(|| panic!("no items in: {body}")).1;
-    rest.split("\"item\":")
-        .skip(1)
-        .map(|chunk| {
-            chunk.chars().take_while(char::is_ascii_digit).collect::<String>().parse().expect("id")
-        })
-        .collect()
+    client::items(body).expect("items").into_iter().map(|(item, _)| item).collect()
 }
 
 /// A fast deterministic model stub: generation `tag` scores item `i` for
@@ -155,7 +102,7 @@ fn wait_for_heal(handle: &ServerHandle, want: u64, deadline: Duration) {
 fn recommend_until_200(addr: std::net::SocketAddr, user: u64, top_k: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let resp = recommend(addr, user, top_k);
+        let resp = recommend(addr, user, top_k).expect("recommend");
         if resp.status == 200 {
             return resp.body;
         }
@@ -203,7 +150,7 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
         ids.map(|i| {
             std::thread::spawn(move || {
                 let started = Instant::now();
-                let resp = recommend(addr, i % 100, top_k);
+                let resp = recommend(addr, i % 100, top_k).expect("recommend");
                 (i, resp, started.elapsed())
             })
         })
@@ -273,15 +220,13 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
     wait_for_heal(&handle, 3, Duration::from_secs(10));
 
     // The swap and per-variant attribution are visible in /metrics.
-    let metrics = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let metrics = get(addr, "/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);
-    assert_eq!(metric(&metrics.body, "kucnet_model_swaps_total"), 1.0, "{}", metrics.body);
-    assert_eq!(metric(&metrics.body, "kucnet_variant_default_model_version"), 2.0);
-    assert!(
-        metric(&metrics.body, "kucnet_variant_default_requests")
-            >= f64::from(served[0] + served[1])
-    );
-    assert!(metric(&metrics.body, "kucnet_workers_respawned") > 0.0, "{}", metrics.body);
+    let read = |name| metric(&metrics.body, name).expect(name);
+    assert_eq!(read("kucnet_model_swaps_total"), 1.0, "{}", metrics.body);
+    assert_eq!(read("kucnet_variant_default_model_version"), 2.0);
+    assert!(read("kucnet_variant_default_requests") >= f64::from(served[0] + served[1]));
+    assert!(read("kucnet_workers_respawned") > 0.0, "{}", metrics.body);
 
     // The cache ledger balances across the version flip: old-version
     // entries went stale (invalidations), none were served wrongly, and
@@ -295,7 +240,8 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
 
     // Without a loader configured, HTTP reloads are refused (in-process
     // reloads through the handle keep working, as used above).
-    let resp = post(addr, "/admin/reload", "{\"variant\": \"default\", \"path\": \"/nope\"}");
+    let resp = post(addr, "/admin/reload", "{\"variant\": \"default\", \"path\": \"/nope\"}")
+        .expect("post");
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("no checkpoint loader"), "{}", resp.body);
 
@@ -355,18 +301,20 @@ fn http_reload_from_checkpoint_swaps_to_the_restored_model() {
     let addr = handle.addr();
 
     // Generation A serves first.
-    let before = recommend(addr, user, top_k as u64);
+    let before = recommend(addr, user, top_k as u64).expect("recommend");
     assert_eq!(before.status, 200, "{}", before.body);
     assert_eq!(model_version_of(&before.body), 1);
     assert_eq!(items_of(&before.body), expected_a, "{}", before.body);
 
     // Bad reloads are 400s and leave the live model untouched.
-    let bad = post(addr, "/admin/reload", "{\"variant\": \"nope\", \"path\": \"/x\"}");
+    let bad =
+        post(addr, "/admin/reload", "{\"variant\": \"nope\", \"path\": \"/x\"}").expect("post");
     assert_eq!(bad.status, 400, "{}", bad.body);
     let bad =
-        post(addr, "/admin/reload", "{\"variant\": \"default\", \"path\": \"/does/not/exist\"}");
+        post(addr, "/admin/reload", "{\"variant\": \"default\", \"path\": \"/does/not/exist\"}")
+            .expect("post");
     assert_eq!(bad.status, 400, "{}", bad.body);
-    assert_eq!(model_version_of(&recommend(addr, user, top_k as u64).body), 1);
+    assert_eq!(model_version_of(&recommend(addr, user, top_k as u64).expect("recommend").body), 1);
 
     // The real reload, over HTTP, from the checkpoint file.
     let ckpt_json = ckpt.to_str().expect("utf-8 temp path").replace('\\', "\\\\");
@@ -374,12 +322,13 @@ fn http_reload_from_checkpoint_swaps_to_the_restored_model() {
         addr,
         "/admin/reload",
         &format!("{{\"variant\": \"default\", \"path\": \"{ckpt_json}\"}}"),
-    );
+    )
+    .expect("post");
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("\"model_version\":2"), "{}", resp.body);
 
     // Served rankings are now generation B's, attributed to version 2.
-    let after = recommend(addr, user, top_k as u64);
+    let after = recommend(addr, user, top_k as u64).expect("recommend");
     assert_eq!(after.status, 200, "{}", after.body);
     assert_eq!(model_version_of(&after.body), 2);
     assert_eq!(items_of(&after.body), expected_b, "restored model must serve B's rankings");

@@ -42,8 +42,8 @@ for t in 1 8; do
 done
 
 # Sharding gate: scoring must be bitwise identical at every shard count —
-# in memory, from the on-disk streaming dataset, and through the shard
-# router's batcher/caches (DESIGN.md §17) — before BENCH_scale.json's
+# in memory, from the on-disk streaming dataset, and over HTTP through one
+# server per shard (DESIGN.md §17) — before BENCH_scale.json's
 # throughput/memory numbers mean anything.
 echo "=== SHARD DIFFERENTIAL ($(date +%H:%M:%S)) ==="
 cargo test -q --test shard_differential || exit 1

@@ -55,10 +55,10 @@ cargo test -q -p kucnet-serve --test explain_parity
 echo "== dynamic x swap: explain parity across ticks + reload/tick independence =="
 cargo test -q -p kucnet-dynamic --test hot_swap
 
-echo "== sharding: shard-count differential (bitwise at {1,2,8}, on-disk + served) =="
+echo "== sharding: shard-count differential (bitwise at {1,2,8}, on-disk + shard servers over HTTP) =="
 cargo test -q --test shard_differential
 
-echo "== sharding: out-of-core scale bench smoke (gen -> 8-shard route -> Zipf sweep) =="
+echo "== sharding: out-of-core scale bench smoke (gen -> 8 shard servers -> Zipf sweep over HTTP) =="
 ./target/release/bench_scale --smoke
 
 echo "== parallel-determinism: differential suite at T=1 and T=8 =="

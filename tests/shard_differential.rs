@@ -9,8 +9,9 @@
 //! - the on-disk streaming `scale` dataset, loaded shard-by-shard with
 //!   `load_shard_segments` (scores must not depend on how islands are
 //!   grouped into shards),
-//! - the serve layer: `ShardRouter` rankings through the batcher and
-//!   per-shard subgraph caches.
+//! - the serve layer over HTTP: one `Server` per shard, each request sent
+//!   to the server at `shard_of(user, n)`, with every server's subgraph
+//!   cache seeing only its own shard's users.
 //!
 //! The chain that makes this hold — edge-closed segments, monotone local
 //! renumbering, parent-row copying — is argued in DESIGN.md §17.2; this
@@ -23,7 +24,7 @@ use kucnet_datasets::{
     load_shard_segments, write_scale_dataset, DatasetProfile, GeneratedDataset, ScaleProfile,
 };
 use kucnet_graph::{shard_of, ShardedCkg, UserId};
-use kucnet_serve::{ServeConfig, ShardRouter};
+use kucnet_serve::{client, ServeConfig, Server, ServerHandle};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -110,10 +111,10 @@ fn on_disk_scale_dataset_scores_are_invariant_across_shard_counts() {
 }
 
 #[test]
-fn serve_router_rankings_are_invariant_across_shard_counts() {
+fn http_served_rankings_are_invariant_across_shard_counts() {
     let data = GeneratedDataset::generate(&DatasetProfile::tiny(), 3);
     let ckg = data.build_ckg(&data.interactions);
-    let n_users = ckg.n_users();
+    let n_users = ckg.n_users() as u32;
     let config = KucNetConfig::default();
     let shardings: Vec<ShardedCkg> =
         SHARD_COUNTS.iter().map(|&n| ShardedCkg::from_ckg(&ckg, n).unwrap()).collect();
@@ -123,25 +124,28 @@ fn serve_router_rankings_are_invariant_across_shard_counts() {
     let mut reference: Option<Vec<Vec<(u32, u32)>>> = None;
     for sharded in &shardings {
         let n = sharded.n_shards();
-        let services: Vec<Arc<dyn ScoreService>> = (0..n)
+        // One ordinary server per shard; the caller routes by `shard_of`.
+        let servers: Vec<ServerHandle> = (0..n)
             .map(|s| {
-                Arc::new(ShardService::for_shard(config.clone(), sharded, s))
-                    as Arc<dyn ScoreService>
+                let service = Arc::new(ShardService::for_shard(config.clone(), sharded, s));
+                Server::start(service, serve.clone(), "127.0.0.1:0").expect("start shard server")
             })
             .collect();
-        let router = ShardRouter::start(services, &serve).expect("start router");
         let rankings: Vec<Vec<(u32, u32)>> = (0..n_users)
             .map(|u| {
-                router
-                    .recommend(UserId(u as u32), 10)
-                    .expect("recommend")
-                    .ranking
-                    .iter()
-                    .map(|&(item, score)| (item, score.to_bits()))
-                    .collect()
+                let addr = servers[shard_of(u, n)].addr();
+                let resp = client::recommend(addr, u64::from(u), 10).expect("recommend");
+                assert_eq!(resp.status, 200, "user {u} at {n} shards: {}", resp.body);
+                let items = client::items(&resp.body).expect("items");
+                items.iter().map(|&(item, score)| (item, score.to_bits())).collect()
             })
             .collect();
-        router.shutdown();
+        // Every lookup landed on the cache of the user's own shard server.
+        for (s, server) in servers.iter().enumerate() {
+            let owned = (0..n_users).filter(|&u| shard_of(u, n) == s).count() as u64;
+            assert_eq!(server.cache_stats().lookups, owned, "shard {s} of {n}");
+            server.shutdown();
+        }
         match &reference {
             None => reference = Some(rankings),
             Some(expected) => {
