@@ -102,7 +102,7 @@ pub(crate) struct SubgraphCache {
 /// panic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Total lookups ([`SubgraphCache::get_or_insert`] calls).
+    /// Total lookups (`SubgraphCache::get_or_insert` calls).
     pub lookups: u64,
     /// Lookups served from a resident entry (including lost build races,
     /// which are served from the winner's entry).
@@ -114,7 +114,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Resident entries dropped because their graph version went stale —
     /// lazily (a versioned lookup found an older stamp) or eagerly
-    /// ([`SubgraphCache::invalidate_user`] after a refresh tick).
+    /// (`SubgraphCache::invalidate_user` after a refresh tick).
     pub invalidations: u64,
     /// Stale entries replaced in place by a rebuild at the new version
     /// through the versioned lookup path.
