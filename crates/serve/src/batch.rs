@@ -50,7 +50,7 @@ use crate::{ServeConfig, ServeError};
 
 /// A ranked recommendation list: `(item id, score)` in descending score
 /// order.
-pub type Ranking = Vec<(u32, f32)>;
+pub(crate) type Ranking = Vec<(u32, f32)>;
 
 /// A scored reply with full model attribution: which A/B variant the user
 /// routed to and which model generation produced the ranking. Every
@@ -58,7 +58,7 @@ pub type Ranking = Vec<(u32, f32)>;
 /// — during a hot-swap, replies from batches pinned before the swap carry
 /// the old version and later ones the new, never a mixture.
 #[derive(Clone, Debug)]
-pub struct ScoredReply {
+pub(crate) struct ScoredReply {
     /// Index of the variant that scored this request.
     pub variant: usize,
     /// Name of that variant (shared handle into the registry's pin).

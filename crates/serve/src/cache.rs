@@ -49,7 +49,7 @@ const ENTRY_OVERHEAD_BYTES: usize = std::mem::size_of::<u32>() + 3 * std::mem::s
 /// hot-swap and a dynamic refresh each independently invalidate it, so a
 /// stale subgraph can never be served across either kind of flip.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct CacheVersion {
+pub(crate) struct CacheVersion {
     /// The registry's globally unique model version the entry belongs to.
     pub model: u64,
     /// The per-user graph version ([`GraphContext::user_version`]) the

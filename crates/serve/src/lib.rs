@@ -70,8 +70,8 @@ mod registry;
 mod server;
 mod update;
 
-pub use batch::{BatcherStats, Ranking, ScoredReply};
-pub use cache::{CacheStats, CacheVersion};
+pub use batch::BatcherStats;
+pub use cache::CacheStats;
 pub use fault::{FaultConfig, FaultStats, FaultyService, InjectedFault};
 pub use http::{http_request, HttpRequest};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
