@@ -113,25 +113,33 @@ impl FrozenModel {
         &self.params
     }
 
-    /// Scores every item over `graph`, drawing intermediates from the
-    /// model's own pool stash.
+    /// Scores every item over `graph` (indexed by item id), drawing
+    /// intermediates from the model's own pool stash: the
+    /// [`score_items_pooled`](Self::score_items_pooled) list scattered
+    /// into a dense vector, so items absent from the final layer score 0
+    /// (Algorithm 1).
     pub(crate) fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-        self.score_graph_pooled(&mut self.pools.checkout(), graph)
-    }
-
-    /// Scores every item over `graph` (indexed by item id; items absent
-    /// from the final layer score 0, per Algorithm 1), drawing
-    /// intermediates from `pool`.
-    pub fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
         let mut item_scores = vec![0.0f32; self.layout.n_items as usize];
-        if let Some(last) = graph.node_lists.last() {
-            for (pos, &node) in last.iter().enumerate() {
-                if let Some(item) = self.layout.item_index(node) {
-                    item_scores[item as usize] = logits[pos];
-                }
-            }
+        for (item, logit) in self.score_items_pooled(&mut self.pools.checkout(), graph) {
+            item_scores[item as usize] = logit;
         }
         item_scores
+    }
+
+    /// The `(item id, logit)` pair of every item node in `graph`'s final
+    /// layer, in final-layer order, drawing intermediates from `pool`.
+    /// Every other item scores 0 (Algorithm 1), so the list is the whole
+    /// ranking input at the cost of the final layer, not the catalogue.
+    pub fn score_items_pooled(
+        &self,
+        pool: &mut MatrixPool,
+        graph: &LayeredGraph,
+    ) -> Vec<(u32, f32)> {
+        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
+        let Some(last) = graph.node_lists.last() else { return Vec::new() };
+        last.iter()
+            .zip(logits)
+            .filter_map(|(&node, logit)| Some((self.layout.item_index(node)?, logit)))
+            .collect()
     }
 }

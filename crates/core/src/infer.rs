@@ -202,8 +202,17 @@ fn layer_epilogue(pool: &mut MatrixPool, config: &KucNetConfig, dst_pos: &[u32],
 /// (cheap, depends on the current parameters). `kucnet-serve` caches the
 /// former per user and calls the latter per request.
 ///
+/// **Sparse contract.** Items outside a graph's final layer score exactly 0
+/// (Algorithm 1), so [`score_items_pooled`] returns only the scored items
+/// as `(item id, score)` pairs; the dense [`score_graph`] is that list
+/// scattered over zeros. A ranking of either form is the same under the
+/// one tie rule every ranking here uses — score descending, then item id
+/// ascending (`kucnet_eval::top_n_indices` on the dense vector,
+/// `kucnet_eval::top_n_sparse` on the list).
+///
 /// [`build_user_graph`]: ScoreService::build_user_graph
 /// [`score_graph`]: ScoreService::score_graph
+/// [`score_items_pooled`]: ScoreService::score_items_pooled
 pub trait ScoreService: Send + Sync {
     /// Display name of the underlying model.
     fn name(&self) -> String;
@@ -222,13 +231,16 @@ pub trait ScoreService: Send + Sync {
     /// `ItemId.0`; items absent from the final layer score 0).
     fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32>;
 
-    /// [`score_graph`](ScoreService::score_graph) drawing intermediates from
-    /// a caller-held pool. The default ignores the pool; model-backed
-    /// services override it so batch scorers that keep one warm pool per
-    /// worker avoid all per-request allocation. It must return exactly what
-    /// `score_graph` would.
-    fn score_graph_pooled(&self, _pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.score_graph(graph)
+    /// The items [`score_graph`](ScoreService::score_graph) may score
+    /// non-zero, as distinct `(item id, score)` pairs in any order, drawing
+    /// intermediates from a caller-held pool. Every item not listed must
+    /// score exactly 0 in `score_graph`, and every listed score must match
+    /// it bitwise. Model-backed services return the final layer's items, so
+    /// batch scorers that keep one warm pool per worker pay for the
+    /// subgraph, not the catalogue. The default lists the whole dense
+    /// `score_graph` vector and ignores the pool.
+    fn score_items_pooled(&self, _pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<(u32, f32)> {
+        (0u32..).zip(self.score_graph(graph)).collect()
     }
 
     /// Convenience: build the graph and score it in one call.

@@ -405,8 +405,8 @@ impl ScoreService for KucNet {
         KucNet::score_graph(self, graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.model.score_graph_pooled(pool, graph)
+    fn score_items_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<(u32, f32)> {
+        self.model.score_items_pooled(pool, graph)
     }
 
     fn explain_item(

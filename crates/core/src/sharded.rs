@@ -177,8 +177,8 @@ impl ScoreService for ShardService {
         self.model.score_graph(graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.model.score_graph_pooled(pool, graph)
+    fn score_items_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<(u32, f32)> {
+        self.model.score_items_pooled(pool, graph)
     }
 }
 

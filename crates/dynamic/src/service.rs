@@ -91,8 +91,8 @@ impl ScoreService for DynamicService {
         self.model.score_graph(graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.model.frozen().score_graph_pooled(pool, graph)
+    fn score_items_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<(u32, f32)> {
+        self.model.frozen().score_items_pooled(pool, graph)
     }
 
     fn graph_context(&self) -> Box<dyn GraphContext + '_> {

@@ -27,5 +27,5 @@ mod ranking;
 
 pub use curve::{CurvePoint, LearningCurve};
 pub use extra_metrics::{evaluate_extended, hit_rate_at_n, precision_at_n, ExtendedMetrics};
-pub use metrics::{ndcg_at_n, recall_at_n, top_n_indices, Metrics};
+pub use metrics::{ndcg_at_n, recall_at_n, top_n_indices, top_n_sparse, Metrics};
 pub use ranking::{evaluate, evaluate_with_threads, FnRecommender, Recommender};

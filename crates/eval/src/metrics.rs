@@ -1,6 +1,7 @@
 //! Recall@N and NDCG@N (paper Eqs. 15–16).
 
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 use kucnet_graph::ItemId;
 
@@ -46,20 +47,122 @@ pub fn ndcg_at_n(ranked: &[ItemId], test: &HashSet<ItemId>, n: usize) -> f64 {
     dcg / ideal
 }
 
-/// Returns the indices of the top-`n` scores in descending order, skipping
+/// Returns the indices of the top-`n` scores, best first, skipping
 /// non-finite scores (used for masked train positives).
+///
+/// The order is total: score descending, then index ascending, so equal
+/// scores (ties, and `-0.0` against `+0.0`) always rank the lower index
+/// first. One pass over `scores` keeps a bounded heap of at most `n`
+/// candidates: O(len · log n) time, nothing allocated of size `len`.
+/// [`top_n_sparse`] ranks through the same accumulator.
 pub fn top_n_indices(scores: &[f32], n: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).filter(|&i| scores[i].is_finite()).collect();
-    let n = n.min(idx.len());
-    if n == 0 {
-        return Vec::new();
+    let mut top = TopK::new(n.min(scores.len()));
+    for (i, &s) in scores.iter().enumerate() {
+        top.offer(i, s);
     }
-    idx.select_nth_unstable_by(n - 1, |&a, &b| {
-        scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    idx.truncate(n);
-    idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
-    idx
+    top.into_ranked().into_iter().map(|(i, _)| i).collect()
+}
+
+/// Ranks a vector of `len` scores that is 0 everywhere except at
+/// `entries`, without building it: returns the top-`n` `(index, score)`
+/// pairs exactly as [`top_n_indices`] selects them from the dense vector
+/// (same indices, same order, bitwise-same scores).
+///
+/// `entries` must name distinct indices below `len`; their order does not
+/// matter. Non-finite entries are skipped, as in the dense ranking. After
+/// the entries, the accumulator is offered `+0.0` for the first `n`
+/// indices that `entries` does not name, in ascending order: every later
+/// unnamed zero ties with those at a higher index, so none can outrank
+/// them. O(m · log m + (m + n) · log n) for `m` entries, independent of
+/// `len`.
+pub fn top_n_sparse(len: usize, entries: &[(u32, f32)], n: usize) -> Vec<(u32, f32)> {
+    let n = n.min(len);
+    let mut top = TopK::new(n);
+    let mut named: Vec<u32> = Vec::with_capacity(entries.len());
+    for &(i, s) in entries {
+        top.offer(i, s);
+        named.push(i);
+    }
+    named.sort_unstable();
+    let mut named = named.into_iter().peekable();
+    let mut filled = 0;
+    for i in (0..len).map_while(|i| u32::try_from(i).ok()) {
+        if filled == n {
+            break;
+        }
+        if named.next_if_eq(&i).is_some() {
+            continue;
+        }
+        top.offer(i, 0.0);
+        filled += 1;
+    }
+    top.into_ranked()
+}
+
+/// One ranking candidate. Its `Ord` is "ranks after": a lower score, or an
+/// equal score at a higher index, compares greater. Only finite scores are
+/// admitted, so the score comparison is total.
+struct Ranked<I> {
+    score: f32,
+    index: I,
+}
+
+impl<I: Ord> Ord for Ranked<I> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.index.cmp(&other.index))
+    }
+}
+
+impl<I: Ord> PartialOrd for Ranked<I> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<I: Ord> PartialEq for Ranked<I> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<I: Ord> Eq for Ranked<I> {}
+
+/// The top-`k` accumulator behind [`top_n_indices`] and [`top_n_sparse`]:
+/// a max-heap whose root is the worst candidate kept, so each offer costs
+/// one comparison unless it displaces that root.
+struct TopK<I> {
+    k: usize,
+    heap: BinaryHeap<Ranked<I>>,
+}
+
+impl<I: Ord> TopK<I> {
+    fn new(k: usize) -> Self {
+        Self { k, heap: BinaryHeap::with_capacity(k) }
+    }
+
+    /// Offers one candidate; non-finite scores are never kept.
+    fn offer(&mut self, index: I, score: f32) {
+        if !score.is_finite() || self.k == 0 {
+            return;
+        }
+        let cand = Ranked { score, index };
+        if self.heap.len() < self.k {
+            self.heap.push(cand);
+        } else if self.heap.peek().is_some_and(|worst| cand < *worst) {
+            if let Some(mut worst) = self.heap.peek_mut() {
+                *worst = cand;
+            }
+        }
+    }
+
+    /// The kept candidates, best first.
+    fn into_ranked(self) -> Vec<(I, f32)> {
+        self.heap.into_sorted_vec().into_iter().map(|r| (r.index, r.score)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +232,20 @@ mod tests {
         let scores = vec![0.2, 0.1];
         assert_eq!(top_n_indices(&scores, 10), vec![0, 1]);
         assert!(top_n_indices(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn top_n_breaks_ties_by_index() {
+        assert_eq!(top_n_indices(&[0.5, 0.5, 0.0, 0.0], 3), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn top_n_sparse_fills_unnamed_zeros_in_index_order() {
+        // Dense: [0, 0, -1, 0, 2, 0]; the zero fill must skip the named 2.
+        let entries = [(4, 2.0), (2, -1.0)];
+        assert_eq!(top_n_sparse(6, &entries, 4), vec![(4, 2.0), (0, 0.0), (1, 0.0), (3, 0.0)]);
+        assert_eq!(top_n_sparse(3, &entries[1..], 10), vec![(0, 0.0), (1, 0.0), (2, -1.0)]);
+        assert!(top_n_sparse(0, &[], 3).is_empty());
     }
 
     #[test]

@@ -5,11 +5,23 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use kucnet_eval::{ndcg_at_n, recall_at_n, top_n_indices};
+use kucnet_eval::{ndcg_at_n, recall_at_n, top_n_indices, top_n_sparse};
 use kucnet_graph::ItemId;
 
 fn ranked(ids: &[u32]) -> Vec<ItemId> {
     ids.iter().map(|&i| ItemId(i)).collect()
+}
+
+/// Decodes a score that stresses a ranking: ties among small halves,
+/// both zeros, negatives, NaN and both infinities.
+fn edge_score(code: u8) -> f32 {
+    match code {
+        0..=6 => (f32::from(code) - 3.0) * 0.5,
+        7 => -0.0,
+        8 => f32::NAN,
+        9 => f32::INFINITY,
+        _ => f32::NEG_INFINITY,
+    }
 }
 
 proptest! {
@@ -80,15 +92,14 @@ proptest! {
         prop_assert!((v - 1.0).abs() < 1e-9, "ndcg {}", v);
     }
 
-    /// top_n_indices agrees with a full sort (up to ties).
+    /// top_n_indices agrees with a full sort by score descending, ties
+    /// broken by ascending index (a stable sort keeps index order on ties).
     #[test]
     fn top_n_matches_sort(
-        scores in proptest::collection::vec(-100i32..100, 1..40),
+        scores in proptest::collection::vec(-4i32..4, 1..40),
         n in 1usize..20,
     ) {
-        // Make scores unique so ordering is unambiguous.
-        let scores: Vec<f32> =
-            scores.iter().enumerate().map(|(i, &s)| s as f32 * 41.0 + i as f32 * 0.001).collect();
+        let scores: Vec<f32> = scores.iter().map(|&s| s as f32 * 0.5).collect();
         let got = top_n_indices(&scores, n);
         let mut idx: Vec<usize> = (0..scores.len()).collect();
         idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
@@ -113,5 +124,41 @@ proptest! {
         promoted.insert(0, test_item);
         let earlier = ndcg_at_n(&ranked(&promoted), &t, promoted.len());
         prop_assert!(earlier >= later - 1e-12);
+    }
+}
+
+proptest! {
+    // Enough cases to hit the edges: k = 0, len = 0, k > len, no entries.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// top_n_sparse ranks exactly like top_n_indices on the densified
+    /// vector: same indices in the same order, bitwise-same scores, for any
+    /// entry order.
+    #[test]
+    fn top_n_sparse_matches_dense(
+        len in 0usize..40,
+        raw in proptest::collection::vec((0u32..48, 0u8..11), 0..40),
+        k in 0usize..50,
+        shuffle in 0u64..u64::MAX,
+    ) {
+        let mut dense = vec![0.0f32; len];
+        let mut named = vec![false; len];
+        let mut entries: Vec<(u32, f32)> = Vec::new();
+        for (i, code) in raw {
+            let at = i as usize;
+            if at < len && !named[at] {
+                named[at] = true;
+                dense[at] = edge_score(code);
+                entries.push((i, dense[at]));
+            }
+        }
+        entries.sort_by_key(|&(i, _)| (u64::from(i) ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let want: Vec<(usize, u32)> =
+            top_n_indices(&dense, k).into_iter().map(|i| (i, dense[i].to_bits())).collect();
+        let got: Vec<(usize, u32)> = top_n_sparse(len, &entries, k)
+            .into_iter()
+            .map(|(i, s)| (i as usize, s.to_bits()))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use kucnet::GraphContext;
-use kucnet_eval::top_n_indices;
+use kucnet_eval::top_n_sparse;
 use kucnet_graph::UserId;
 use parking_lot::Mutex;
 
@@ -121,6 +121,13 @@ pub struct BatcherStats {
     pub warm_p95_us: u64,
     /// p99 of the warm scoring stage, in microseconds.
     pub warm_p99_us: u64,
+    /// p50 of the rank stage (top-k selection over one job's scored
+    /// items), in microseconds.
+    pub rank_p50_us: u64,
+    /// p95 of the rank stage, in microseconds.
+    pub rank_p95_us: u64,
+    /// p99 of the rank stage, in microseconds.
+    pub rank_p99_us: u64,
 }
 
 /// Control messages for the supervisor thread.
@@ -154,6 +161,7 @@ struct PoolState {
     stage_queue: LatencyHistogram,
     stage_fill: LatencyHistogram,
     stage_warm: LatencyHistogram,
+    stage_rank: LatencyHistogram,
     /// Set once shutdown begins; stops the supervisor respawning workers.
     shutting_down: AtomicBool,
 }
@@ -298,6 +306,9 @@ impl Batcher {
             warm_p50_us: s.stage_warm.quantile_us(0.50),
             warm_p95_us: s.stage_warm.quantile_us(0.95),
             warm_p99_us: s.stage_warm.quantile_us(0.99),
+            rank_p50_us: s.stage_rank.quantile_us(0.50),
+            rank_p95_us: s.stage_rank.quantile_us(0.95),
+            rank_p99_us: s.stage_rank.quantile_us(0.99),
         }
     }
 
@@ -417,7 +428,7 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
         let variants: Vec<usize> = users.iter().map(|&u| pin.route(UserId(u))).collect();
         let bctxs: Vec<Box<dyn GraphContext + '_>> =
             pin.models().iter().map(|m| m.service().graph_context()).collect();
-        let scored: Vec<Result<Vec<f32>, String>> = kucnet_par::par_try_map_with(
+        let scored: Vec<Result<Vec<(u32, f32)>, String>> = kucnet_par::par_try_map_with(
             ctx.batch_threads,
             users.len(),
             || pool_stash.checkout(),
@@ -437,9 +448,9 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
                 // before reaching this line).
                 ctx.registry.record_cache(variant, hit);
                 let warm_started = Instant::now();
-                let scores = model.service().score_graph_pooled(pool, &graph);
+                let items = model.service().score_items_pooled(pool, &graph);
                 ctx.state.stage_warm.record(micros(warm_started.elapsed()));
-                scores
+                items
             },
         );
         drop(bctxs);
@@ -448,10 +459,16 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
             let jobs = by_user.remove(user).unwrap_or_default();
             let model = &pin.models()[variants[i]];
             match result {
-                Ok(scores) => {
+                Ok(items) => {
                     saturating_inc(&ctx.state.users_scored);
+                    // The zero-filled sparse ranking runs the accumulator of
+                    // the offline `top_n_indices`, so served rankings equal
+                    // offline ones, ties included, without an n_items buffer.
+                    let n_items = model.service().n_items();
                     for job in jobs {
-                        let ranking = rank_top_k(&scores, job.top_k);
+                        let rank_started = Instant::now();
+                        let ranking = top_n_sparse(n_items, &items, job.top_k);
+                        ctx.state.stage_rank.record(micros(rank_started.elapsed()));
                         saturating_dec(&ctx.state.queue_depth);
                         let _ = job.reply.send(Ok(ScoredReply {
                             variant: variants[i],
@@ -483,17 +500,6 @@ fn run_worker(ctx: &WorkerCtx) -> WorkerExit {
 fn micros(elapsed: Duration) -> u64 {
     // audit: allow(no-lossy-cast) — a latency past u64::MAX µs is unreachable; saturating is the right histogram clamp
     u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Top-`k` `(item, score)` pairs in descending score order, using the same
-/// selection the offline evaluator uses (`kucnet_eval::top_n_indices`), so
-/// served rankings are identical to offline rankings down to tie-breaks.
-fn rank_top_k(scores: &[f32], k: usize) -> Ranking {
-    top_n_indices(scores, k)
-        .into_iter()
-        // audit: allow(no-lossy-cast) — item indices are bounded by the u32 item-id space; saturation is unreachable
-        .map(|i| (u32::try_from(i).unwrap_or(u32::MAX), scores[i]))
-        .collect()
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub struct FaultConfig {
     /// rates above (deterministic targeting for regression tests).
     pub panic_users: Vec<u32>,
     /// Probability a [`score_graph`](ScoreService::score_graph) /
-    /// [`score_graph_pooled`](ScoreService::score_graph_pooled) call
+    /// [`score_items_pooled`](ScoreService::score_items_pooled) call
     /// panics (builds and scores fail independently).
     pub score_panic_rate: f64,
 }
@@ -187,9 +187,9 @@ impl ScoreService for FaultyService {
         self.inner.score_graph(graph)
     }
 
-    fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
+    fn score_items_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<(u32, f32)> {
         self.roll(graph.root.0, self.config.score_panic_rate);
-        self.inner.score_graph_pooled(pool, graph)
+        self.inner.score_items_pooled(pool, graph)
     }
 
     fn explain_item(

@@ -230,6 +230,9 @@ impl ServeMetrics {
         line("kucnet_stage_warm_p50_us", batch.warm_p50_us.to_string());
         line("kucnet_stage_warm_p95_us", batch.warm_p95_us.to_string());
         line("kucnet_stage_warm_p99_us", batch.warm_p99_us.to_string());
+        line("kucnet_stage_rank_p50_us", batch.rank_p50_us.to_string());
+        line("kucnet_stage_rank_p95_us", batch.rank_p95_us.to_string());
+        line("kucnet_stage_rank_p99_us", batch.rank_p99_us.to_string());
         out
     }
 }
@@ -308,6 +311,8 @@ mod tests {
             queue_p50_us: 100,
             fill_p50_us: 5_000,
             warm_p50_us: 200,
+            rank_p50_us: 20,
+            rank_p95_us: 50,
             ..BatcherStats::default()
         };
         let body = m.render(&cache, &batch, 7);
@@ -331,6 +336,9 @@ mod tests {
             "kucnet_stage_fill_p50_us 5000",
             "kucnet_stage_warm_p50_us 200",
             "kucnet_stage_warm_p99_us 0",
+            "kucnet_stage_rank_p50_us 20",
+            "kucnet_stage_rank_p95_us 50",
+            "kucnet_stage_rank_p99_us 0",
         ] {
             assert!(body.contains(key), "missing `{key}` in:\n{body}");
         }

@@ -2,15 +2,20 @@
 //! concurrent HTTP clients, and rank parity against offline scoring.
 //!
 //! The parity claim is exact, not approximate: the server and the offline
-//! path share `KucNet::score_graph` (the tape-free forward) and
-//! `kucnet_eval::top_n_indices`, so the served ranking must match the
-//! offline ranking item-for-item and score-for-score.
+//! path share the tape-free forward and one top-k accumulator (the server
+//! ranks the final layer with `kucnet_eval::top_n_sparse`, offline ranks
+//! the dense vector with `kucnet_eval::top_n_indices`), so the served
+//! ranking must match the offline ranking item-for-item and
+//! score-for-score, ties included.
 
 use std::sync::Arc;
 
-use kucnet::{KucNet, KucNetConfig, ScoreService};
-use kucnet_datasets::{DatasetProfile, GeneratedDataset};
+use kucnet::{KucNet, KucNetConfig, ScoreService, ShardService};
+use kucnet_datasets::{
+    load_shard_segments, write_scale_dataset, DatasetProfile, GeneratedDataset, ScaleProfile,
+};
 use kucnet_eval::top_n_indices;
+use kucnet_graph::UserId;
 use kucnet_serve::client::{self, get, items, metric, recommend};
 use kucnet_serve::{ServeConfig, Server, ServerHandle};
 
@@ -152,4 +157,60 @@ fn shutdown_is_graceful_and_idempotent() {
     handle.shutdown(); // second call must be a no-op
                        // The listener is gone: a request must not hang or return a ranking.
     assert!(recommend(addr, 0, 2).map_or(true, |r| r.status != 200));
+}
+
+#[test]
+fn zero_filled_rankings_over_a_large_catalogue_match_dense_offline_bitwise() {
+    // 64 islands of 16 items: a 1024-item catalogue, while a user's graph
+    // only reaches the items of their own island. A top_k past the final
+    // layer therefore has to come from the zero fill, whose tie order
+    // (item id ascending) must match the dense ranking exactly.
+    let profile = ScaleProfile {
+        n_users: 128,
+        n_islands: 64,
+        items_per_island: 16,
+        entities_per_island: 16,
+        interactions_per_user: 4,
+        kg_links_per_item: 3,
+        entity_entity_links_per_island: 16,
+        n_kg_relations: 4,
+        popularity_exponent: 0.8,
+        seed: 5,
+    };
+    let dir = std::env::temp_dir().join(format!("kucnet_serve_zero_fill_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_scale_dataset(&profile, &dir).expect("generate scale dataset");
+    let segments = load_shard_segments(&dir, &profile, 0, 1).expect("load shard");
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = Arc::new(ShardService::from_segments(
+        KucNetConfig::default(),
+        profile.layout(),
+        profile.n_base_relations(),
+        segments,
+        0,
+    ));
+    let top_k = 64usize;
+    assert!(service.n_items() >= 16 * top_k, "catalogue must dwarf the final layer");
+    let config = ServeConfig { max_top_k: top_k, ..ServeConfig::default() };
+    let handle =
+        Server::start(Arc::clone(&service) as Arc<dyn ScoreService>, config, "127.0.0.1:0")
+            .expect("bind server");
+    for u in 0..profile.n_users {
+        let scores = service.score_user(UserId(u));
+        let nonzero = scores.iter().filter(|s| **s != 0.0).count();
+        assert!(nonzero < top_k, "user {u}: {nonzero} non-zero scores leave no zero fill");
+        let expected: Vec<(u32, u32)> = top_n_indices(&scores, top_k)
+            .into_iter()
+            .map(|i| (i as u32, scores[i].to_bits()))
+            .collect();
+        let resp = recommend(handle.addr(), u64::from(u), top_k as u64).expect("recommend");
+        assert_eq!(resp.status, 200, "user {u}: {}", resp.body);
+        let got: Vec<(u32, u32)> = items(&resp.body)
+            .expect("items")
+            .into_iter()
+            .map(|(item, score)| (item, score.to_bits()))
+            .collect();
+        assert_eq!(got, expected, "user {u}: served ranking differs from the dense one");
+    }
+    handle.shutdown();
 }

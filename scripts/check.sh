@@ -29,6 +29,9 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+echo "== ranking + model: kucnet-eval and kucnet suites (top-k tie rule, sparse == dense) =="
+cargo test -q -p kucnet-eval -p kucnet
+
 echo "== fused kernels: bitwise fused-vs-unfused property suite =="
 cargo test -q -p kucnet-tensor --test fused_kernels
 
