@@ -82,3 +82,26 @@ impl Consistent {
         0
     }
 }
+
+/// A `tanh` method taking an argument (like `Tape::tanh`), a `tanh`
+/// field and the workspace kernel's path: none of them is the host libm.
+pub struct Activations {
+    tanh: fn(f32) -> f32,
+}
+
+impl Activations {
+    /// Builds the table around the workspace kernel.
+    pub fn kernel() -> Self {
+        Self { tanh: kucnet_tensor::tanh }
+    }
+
+    /// Calls the stored activation.
+    pub fn tanh(&self, x: f32) -> f32 {
+        (self.tanh)(x)
+    }
+
+    /// A one-argument `.tanh(x)` call, not the zero-argument libm form.
+    pub fn apply(&self, x: f32) -> f32 {
+        self.tanh(x)
+    }
+}

@@ -4,11 +4,12 @@
 //! KUCNet workspace. Three halves:
 //!
 //! 1. **Linter** ([`lint_workspace`] / [`lint_dir`]): a pure-std Rust
-//!    tokenizer and eight rules over every library source file in
+//!    tokenizer and nine rules over every library source file in
 //!    `crates/*/src` and `src/`: the original `no-panic`, `no-lossy-cast`,
 //!    and `doc-pub-fn` ([`rules`]) plus the determinism/concurrency pass
 //!    `no-unordered-iter`, `no-entropy`, `no-raw-spawn`,
-//!    `no-float-accum-order`, and `lock-order` ([`rules_concurrency`]).
+//!    `no-float-accum-order`, `lock-order`, and `no-libm-tanh`
+//!    ([`rules_concurrency`]).
 //!    Suppression is in-line (`// audit: allow(<rule>) — <reason>` or
 //!    `// #[allow(kucnet::<rule>)] — <reason>`).
 //! 2. **Suppression baseline** ([`baseline`], [`workspace_report`]):
@@ -38,8 +39,8 @@ pub use rules::{
     lint_source, Diagnostic, LintOptions, RULE_DOC_PUB_FN, RULE_NO_LOSSY_CAST, RULE_NO_PANIC,
 };
 pub use rules_concurrency::{
-    ConcurrencyConfig, RULE_LOCK_ORDER, RULE_NO_ENTROPY, RULE_NO_FLOAT_ACCUM, RULE_NO_RAW_SPAWN,
-    RULE_NO_UNORDERED_ITER,
+    ConcurrencyConfig, RULE_LOCK_ORDER, RULE_NO_ENTROPY, RULE_NO_FLOAT_ACCUM, RULE_NO_LIBM_TANH,
+    RULE_NO_RAW_SPAWN, RULE_NO_UNORDERED_ITER,
 };
 
 /// Crates whose ids flow through `u32` spaces; only these get the
@@ -315,6 +316,7 @@ mod tests {
             ("bad_concurrency/raw_spawn/src", RULE_NO_RAW_SPAWN),
             ("bad_concurrency/float_accum/src", RULE_NO_FLOAT_ACCUM),
             ("bad_concurrency/lock_order/src", RULE_LOCK_ORDER),
+            ("bad_concurrency/libm_tanh/src", RULE_NO_LIBM_TANH),
         ];
         for (dir, rule) in cases {
             let diags = lint_dir(&fixture(dir), &LintOptions::default()).expect("readable");

@@ -1,6 +1,6 @@
 //! Determinism & concurrency rules.
 //!
-//! Five token-level rules that make the workspace's reproducibility
+//! Six token-level rules that make the workspace's reproducibility
 //! guarantees *statically* checkable instead of relying solely on the
 //! differential/chaos suites sampling the right schedule:
 //!
@@ -21,6 +21,10 @@
 //! - **`lock-order`** — builds a per-crate lock-acquisition graph from
 //!   `Mutex`/`RwLock` field names and flags pairs acquired in both orders
 //!   (the classic AB/BA deadlock shape).
+//! - **`no-libm-tanh`** — `f32::tanh`/`f64::tanh` paths and zero-argument
+//!   `.tanh()` calls reach the host C library, whose results vary between
+//!   libcs and versions. Every crate uses `kucnet_tensor::tanh` instead;
+//!   only its own file, `crates/tensor/src/tanh.rs`, is exempt.
 //!
 //! All rules are token-stream heuristics, not type-checked analysis: names
 //! are tracked by declaration-site type mentions, and acquisition "held"
@@ -35,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{tokenize, turbofish_after, Tok, TokKind};
-use crate::rules::{allowed, next_code, test_code_mask, Diagnostic};
+use crate::rules::{allowed, next_code, prev_code, test_code_mask, Diagnostic};
 
 /// Rule name: forbid unordered `HashMap`/`HashSet` iteration.
 pub const RULE_NO_UNORDERED_ITER: &str = "no-unordered-iter";
@@ -47,6 +51,12 @@ pub const RULE_NO_RAW_SPAWN: &str = "no-raw-spawn";
 pub const RULE_NO_FLOAT_ACCUM: &str = "no-float-accum-order";
 /// Rule name: flag cyclic lock-acquisition orders.
 pub const RULE_LOCK_ORDER: &str = "lock-order";
+/// Rule name: forbid the host libm's tanh outside the workspace kernel.
+pub const RULE_NO_LIBM_TANH: &str = "no-libm-tanh";
+
+/// The file that holds the workspace's one tanh, exempt from
+/// `no-libm-tanh`.
+const TANH_KERNEL_FILE: &str = "crates/tensor/src/tanh.rs";
 
 /// Per-crate toggles for the concurrency rules. `lint_workspace` switches
 /// the first three on only for the deterministic-crate allowlist; `serve`
@@ -139,6 +149,9 @@ pub fn file_rules(
     }
     if cfg.float_accum {
         float_accum_rule(toks, skipped, &mut flag);
+    }
+    if !file.ends_with(TANH_KERNEL_FILE) {
+        libm_tanh_rule(toks, skipped, &mut flag);
     }
     out
 }
@@ -642,6 +655,38 @@ where
     }
 }
 
+/// `no-libm-tanh`: flags `f32::tanh` / `f64::tanh` paths (called or passed
+/// as a function) and zero-argument `.tanh()` method calls. `Tape::tanh`
+/// takes an argument and `kucnet_tensor::tanh` is neither form, so both
+/// pass.
+fn libm_tanh_rule<F>(toks: &[Tok], skipped: &[bool], flag: &mut F)
+where
+    F: FnMut(u32, &'static str, String),
+{
+    for (i, t) in toks.iter().enumerate() {
+        if skipped[i] || t.kind != TokKind::Ident || t.text != "tanh" {
+            continue;
+        }
+        let Some(before) = prev_code(toks, i) else { continue };
+        let float_path = toks[before].kind == TokKind::PathSep
+            && matches!(prev_code(toks, before), Some(ty) if toks[ty].kind == TokKind::Ident
+                && (toks[ty].text == "f32" || toks[ty].text == "f64"));
+        let no_arg_method = toks[before].kind == TokKind::Punct('.')
+            && matches!(next_code(toks, i), Some(open) if toks[open].kind == TokKind::Punct('(')
+                && matches!(next_code(toks, open), Some(close)
+                    if toks[close].kind == TokKind::Punct(')')));
+        if float_path || no_arg_method {
+            flag(
+                t.line,
+                RULE_NO_LIBM_TANH,
+                "libm tanh varies between C libraries and does not vectorise; call \
+                 kucnet_tensor::tanh"
+                    .to_string(),
+            );
+        }
+    }
+}
+
 /// `no-float-accum-order`: flags `.sum::<f32|f64>()` / `.fold(float, ..)`
 /// in a statement whose receiver expression involves a par fn or a binding
 /// produced by one, unless the statement uses the `ordered_*` helpers.
@@ -1071,5 +1116,32 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(m: &HashMap<u32, u32>) {\n        \
                    for k in m.keys() { g(k); }\n        std::thread::spawn(|| 1);\n    }\n}";
         assert!(rules_fired(src).is_empty());
+    }
+
+    #[test]
+    fn libm_tanh_forms_flagged() {
+        for src in [
+            "fn f(x: f32) -> f32 { x.tanh() }",
+            "fn f(x: f64) -> f64 { f64::tanh(x) }",
+            "fn f(m: &[f32]) -> Vec<f32> { m.iter().copied().map(f32::tanh).collect() }",
+        ] {
+            assert_eq!(rules_fired(src), vec![RULE_NO_LIBM_TANH], "{src}");
+        }
+    }
+
+    #[test]
+    fn kernel_and_tape_tanh_are_fine() {
+        let tape = "fn f(t: &Tape, v: Var) -> Var { t.tanh(v) }";
+        assert!(rules_fired(tape).is_empty());
+        let kernel = "fn f(x: f32) -> f32 { kucnet_tensor::tanh(x) + tanh(x) }";
+        assert!(rules_fired(kernel).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn r(x: f64) -> f64 { x.tanh() }\n}";
+        assert!(rules_fired(in_test).is_empty());
+        let kernel_file = lint_source(
+            Path::new(TANH_KERNEL_FILE),
+            "fn f(x: f32) -> f32 { x.tanh() }",
+            &LintOptions::default(),
+        );
+        assert!(kernel_file.is_empty(), "{kernel_file:?}");
     }
 }

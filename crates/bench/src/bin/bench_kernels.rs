@@ -2,7 +2,7 @@
 //! kernels that replaced them, checks every pair agrees, and writes
 //! `results/BENCH_kernels.json`.
 //!
-//! Three comparisons:
+//! Four comparisons:
 //!
 //! 1. **matmul** — the pre-overhaul naive i/k/j triple loop (including its
 //!    `a == 0.0` skip) vs the register-blocked [`Matrix::matmul`], bitwise.
@@ -17,6 +17,10 @@
 //!    order, so they agree to a max abs difference of 1e-5, not bitwise.
 //!    Timed on a smoke shape and on the paper-profile shape (`d = 32`,
 //!    `d_α = 5`, `E ≈ 15·|V|` — the K=15 PPR fan-out).
+//! 4. **tanh** — the host libm's `f32::tanh` vs [`kucnet_tensor::tanh`],
+//!    the activation every forward pass applies, in ns per element over a
+//!    64k slice of values in [-4, 4]. The kernel is within 8 ulp of the
+//!    exact value, so the two agree to 1e-6, not bitwise.
 //!
 //! `--smoke` shrinks every size so the whole binary runs in seconds (used
 //! by `scripts/check.sh`); `--quick` only trims the train-epoch phase.
@@ -30,12 +34,15 @@ use kucnet_bench::{git_commit, kucnet_config, write_results, HarnessOpts};
 use kucnet_datasets::{traditional_split, DatasetProfile, GeneratedDataset};
 use kucnet_tensor::{
     add_row_broadcast, fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into,
-    gather_rows, global_pool_stats, mul_col_broadcast, scatter_add_rows, stable_sigmoid, Matrix,
-    MatrixPool,
+    gather_rows, global_pool_stats, mul_col_broadcast, scatter_add_rows, stable_sigmoid, tanh,
+    Matrix, MatrixPool,
 };
 
 /// Largest allowed |per-edge − node-level| over a layer's output.
 const NODE_LEVEL_TOL: f32 = 1e-5;
+
+/// Largest allowed |libm − kernel| tanh difference.
+const TANH_TOL: f32 = 1e-6;
 
 /// Relation-table rows in the synthetic layer (`2·3 + 1` relation ids).
 const N_REL: usize = 7;
@@ -198,6 +205,27 @@ fn bench_node_level(
     (Pair { old_secs, new_secs }, max_abs_diff)
 }
 
+/// Applies `f` to every element of `x`, writing `out`.
+fn map_into(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = f(v);
+    }
+}
+
+/// Comparison 4: libm `f32::tanh` vs the workspace kernel over `len`
+/// values in [-4, 4]. Returns the timings and the max abs difference.
+fn bench_tanh(len: usize, iters: usize) -> (Pair, f32) {
+    let x: Vec<f32> = awkward(1, len, 41).data().iter().map(|v| 8.0 * v).collect();
+    let mut old_out = vec![0f32; len];
+    let mut new_out = vec![0f32; len];
+    let (old_secs, ()) =
+        time(iters, || map_into(std::hint::black_box(&x), &mut old_out, f32::tanh));
+    let (new_secs, ()) = time(iters, || map_into(std::hint::black_box(&x), &mut new_out, tanh));
+    let max_abs_diff = new_out.iter().zip(&old_out).fold(0f32, |m, (a, b)| m.max((a - b).abs()));
+    assert!(max_abs_diff <= TANH_TOL, "tanh kernel drifted from libm: {max_abs_diff}");
+    (Pair { old_secs, new_secs }, max_abs_diff)
+}
+
 /// Comparison 2: one full train epoch cold (pool empty) vs warm, with the
 /// fresh-allocation counts that prove pooling works.
 struct EpochStats {
@@ -256,6 +284,10 @@ fn main() {
         .iter()
         .map(|&(_, nodes, edges, d, da, iters)| bench_node_level(nodes, edges, d, da, iters))
         .collect();
+    let tanh_len = 1 << 16;
+    let tanh_iters = if smoke { 3 } else { 200 };
+    let (th, th_diff) = bench_tanh(tanh_len, tanh_iters);
+    let ns_per_elem = |secs: f64| secs * 1e9 / (tanh_iters * tanh_len) as f64;
     let ep = bench_train_epoch(&opts, smoke || quick);
     let fresh_per_user_warm = ep.warm_fresh as f64 / ep.users.max(1) as f64;
 
@@ -275,6 +307,13 @@ fn main() {
             pair.speedup()
         );
     }
+    println!(
+        "tanh ({tanh_len} values)       libm {:>6.2} ns/elem   kernel {:>6.2} ns/elem   {:.2}x   \
+         max |diff| {th_diff:.2e}",
+        ns_per_elem(th.old_secs),
+        ns_per_elem(th.new_secs),
+        th.speedup()
+    );
     println!(
         "train_epoch ({} users)    cold {:>8.4}s ({} fresh allocs)   warm {:>8.4}s ({} fresh, {} reused)",
         ep.users, ep.cold_secs, ep.cold_fresh, ep.warm_secs, ep.warm_fresh, ep.warm_reused
@@ -318,6 +357,7 @@ fn main() {
             "  \"git_commit\": \"{}\",\n",
             "  \"matmul\": {{\"rows\": {}, \"dim\": {}, \"old_secs\": {:.6}, \"new_secs\": {:.6}, \"speedup\": {:.3}}},\n",
             "  \"node_level\": [\n{}\n  ],\n",
+            "  \"tanh\": {{\"len\": {}, \"libm_ns_per_elem\": {:.3}, \"kernel_ns_per_elem\": {:.3}, \"speedup\": {:.3}, \"max_abs_diff\": {:.3e}}},\n",
             "  \"train_epoch\": {{\n",
             "    \"users\": {},\n",
             "    \"cold_secs\": {:.4},\n",
@@ -339,6 +379,11 @@ fn main() {
         mm.new_secs,
         mm.speedup(),
         node_level_json.join(",\n"),
+        tanh_len,
+        ns_per_elem(th.old_secs),
+        ns_per_elem(th.new_secs),
+        th.speedup(),
+        th_diff,
         ep.users,
         ep.cold_secs,
         ep.cold_fresh,

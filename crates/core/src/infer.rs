@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use kucnet_graph::{LayeredGraph, UserId};
 use kucnet_tensor::{
-    fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into, scale_rows_in_place,
+    fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into, scale_rows_in_place, tanh,
     Matrix, MatrixPool, ParamStore,
 };
 
@@ -182,7 +182,7 @@ fn layer_epilogue(pool: &mut MatrixPool, config: &KucNetConfig, dst_pos: &[u32],
         Activation::Identity => {}
         Activation::Tanh => {
             for x in agg.data_mut() {
-                *x = x.tanh();
+                *x = tanh(*x);
             }
         }
         Activation::Relu => {

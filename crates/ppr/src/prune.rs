@@ -124,9 +124,12 @@ fn sparsify(scores: &[f32], keep: usize) -> Vec<(u32, f32)> {
         .map(|(n, &s)| (index_u32(n, "node id"), s))
         .collect();
     if entries.len() > keep {
-        entries.select_nth_unstable_by(keep - 1, |a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // keep = 0 keeps no entries; there is nothing to partition.
+        if let Some(last) = keep.checked_sub(1) {
+            entries.select_nth_unstable_by(last, |a, b| {
+                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
         entries.truncate(keep);
     }
     entries.sort_unstable_by_key(|&(n, _)| n);
@@ -164,11 +167,14 @@ impl EdgeSelector for PprTopK<'_> {
         if candidates.len() <= self.k {
             return;
         }
-        candidates.select_nth_unstable_by(self.k - 1, |a, b| {
-            let sa = self.score(a.1);
-            let sb = self.score(b.1);
-            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // K = 0 keeps no edges; there is nothing to partition.
+        if let Some(last) = self.k.checked_sub(1) {
+            candidates.select_nth_unstable_by(last, |a, b| {
+                let sa = self.score(a.1);
+                let sb = self.score(b.1);
+                sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
         candidates.truncate(self.k);
     }
 }
@@ -232,6 +238,23 @@ mod tests {
         let nodes: Vec<u32> = kept.iter().map(|&(n, _)| n).collect();
         assert!(nodes.contains(&0));
         assert!(nodes.contains(&3));
+    }
+
+    #[test]
+    fn sparsify_with_zero_keep_keeps_nothing() {
+        assert!(sparsify(&[0.5, 0.0, 0.1], 0).is_empty());
+    }
+
+    #[test]
+    fn topk_selector_with_zero_k_keeps_no_edges() {
+        let g = star();
+        let cache = PprCache::compute(g.csr(), 2, &PprConfig::default(), usize::MAX, 1);
+        let u0 = g.user_node(UserId(0));
+        let mut cands: Vec<(RelId, NodeId)> =
+            g.csr().out_edges(u0).map(|e| (e.rel, e.tail)).collect();
+        assert!(!cands.is_empty());
+        cache.selector(UserId(0), 0).select(u0, &mut cands);
+        assert!(cands.is_empty());
     }
 
     #[test]

@@ -32,6 +32,7 @@ mod nn;
 mod optim;
 mod pool;
 mod serialize;
+mod tanh;
 mod tape;
 
 pub use init::{normal, uniform, xavier_uniform};
@@ -44,4 +45,5 @@ pub use nn::{row_softmax, segment_softmax};
 pub use optim::{collect_grads, Adam, GradEntry, ParamId, ParamStore, Sgd};
 pub use pool::{global_pool_stats, MatrixPool, PoolGuard, PoolStash, PoolStats};
 pub use serialize::CheckpointError;
+pub use tanh::tanh;
 pub use tape::{stable_sigmoid, stable_softplus, Tape, TapeGuard, TapeStash, Var};

@@ -431,9 +431,9 @@ impl Tape {
         self.push(value, Op::LeakyRelu(a.0, alpha))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`crate::tanh`]).
     pub fn tanh(&self, a: Var) -> Var {
-        let value = self.pmap(&self.nodes.borrow()[a.0].value, f32::tanh);
+        let value = self.pmap(&self.nodes.borrow()[a.0].value, crate::tanh);
         self.push(value, Op::Tanh(a.0))
     }
 

@@ -32,6 +32,9 @@ cargo test -q
 echo "== ranking + model: kucnet-eval and kucnet suites (top-k tie rule, sparse == dense) =="
 cargo test -q -p kucnet-eval -p kucnet
 
+echo "== tensor unit tests: tanh kernel contract (ulp bound, odd symmetry, special values) =="
+cargo test -q -p kucnet-tensor --lib
+
 echo "== fused kernels: bitwise fused-vs-unfused property suite =="
 cargo test -q -p kucnet-tensor --test fused_kernels
 
