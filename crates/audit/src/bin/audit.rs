@@ -36,7 +36,7 @@ use kucnet_eval::Recommender;
 use kucnet_graph::{
     build_layered_graph, build_pair_computation_graph, KeepAll, LayeringOptions, NodeId,
 };
-use kucnet_ppr::{ppr_scores, validate_scores, PprCache, PprConfig};
+use kucnet_ppr::{validate_scores, PprCache, PprConfig, PprGraph};
 use kucnet_tensor::{Matrix, Tape};
 
 fn main() -> ExitCode {
@@ -250,8 +250,9 @@ fn runtime_checks() -> Vec<(&'static str, Result<(), String>)> {
     // nonnegative vector; the pruning cache must preserve that per entry.
     let cfg = PprConfig::default();
     let mut ppr_result = Ok(());
+    let ppr_graph = PprGraph::new(csr);
     for u in 0..ckg.n_users().min(8) {
-        let scores = ppr_scores(csr, NodeId(u as u32), &cfg);
+        let scores = ppr_graph.scores(NodeId(u as u32), &cfg);
         if let Err(e) = validate_scores(&scores, csr.n_nodes()) {
             ppr_result = Err(format!("user {u}: {e}"));
             break;

@@ -4,18 +4,21 @@
 
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, ItemId, UserId};
-use kucnet_ppr::{ppr_scores, PprConfig};
+use kucnet_ppr::{PprConfig, PprGraph};
 
 /// PPR-based recommender.
 pub struct PprRec {
     ckg: Ckg,
+    graph: PprGraph,
     config: PprConfig,
 }
 
 impl PprRec {
-    /// Builds the recommender (no training needed).
+    /// Builds the recommender (no training needed; the CKG's [`PprGraph`]
+    /// is built once and serves every user).
     pub fn new(ckg: Ckg) -> Self {
-        Self { ckg, config: PprConfig::default() }
+        let graph = PprGraph::new(ckg.csr());
+        Self { ckg, graph, config: PprConfig::default() }
     }
 
     /// Overrides the PPR parameters.
@@ -31,7 +34,7 @@ impl Recommender for PprRec {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        let scores = ppr_scores(self.ckg.csr(), self.ckg.user_node(user), &self.config);
+        let scores = self.graph.scores(self.ckg.user_node(user), &self.config);
         (0..self.ckg.n_items() as u32)
             .map(|i| scores[self.ckg.item_node(ItemId(i)).0 as usize])
             .collect()

@@ -7,12 +7,12 @@ use kucnet_graph::{
     build_layered_graph, build_pair_computation_graph, extract_ui_subgraph, ItemId, KeepAll,
     LayeringOptions, UserId,
 };
-use kucnet_ppr::{PprCache, PprConfig};
+use kucnet_ppr::{PprCache, PprConfig, PPR_KEEP};
 
 fn bench_subgraph(c: &mut Criterion) {
     let data = GeneratedDataset::generate(&DatasetProfile::lastfm_small(), 42);
     let ckg = data.build_ckg(&data.interactions);
-    let cache = PprCache::compute(ckg.csr(), ckg.n_users(), &PprConfig::default(), 4096, 4);
+    let cache = PprCache::compute(ckg.csr(), ckg.n_users(), &PprConfig::default(), PPR_KEEP, 4);
     let u = ckg.user_node(UserId(0));
     let i = ckg.item_node(ItemId(0));
 

@@ -2,7 +2,7 @@
 //! kernels that replaced them, checks every pair agrees, and writes
 //! `results/BENCH_kernels.json`.
 //!
-//! Four comparisons:
+//! Four comparisons and one timing row:
 //!
 //! 1. **matmul** — the pre-overhaul naive i/k/j triple loop (including its
 //!    `a == 0.0` skip) vs the register-blocked [`Matrix::matmul`], bitwise.
@@ -21,6 +21,13 @@
 //!    the activation every forward pass applies, in ns per element over a
 //!    64k slice of values in [-4, 4]. The kernel is within 8 ulp of the
 //!    exact value, so the two agree to 1e-6, not bitwise.
+//! 5. **ppr** — per-user [`sparse_ppr`] (p50/p90 ms over every user) and
+//!    the all-users [`PprCache::compute`] (median of 3, one thread) on
+//!    lastfm-small and on one island shaped like the 2^17-user scale
+//!    profile's (256 users, 2048 items, 4096 entities). Every user's
+//!    `sparse_ppr` entries must equal its cache row bitwise; `entries_fnv`
+//!    (FNV-1a over every row's ids and score bits) lets two commits show
+//!    they computed the same vectors.
 //!
 //! `--smoke` shrinks every size so the whole binary runs in seconds (used
 //! by `scripts/check.sh`); `--quick` only trims the train-epoch phase.
@@ -31,7 +38,12 @@ use std::time::Instant;
 
 use kucnet::{KucNet, SelectorKind};
 use kucnet_bench::{git_commit, kucnet_config, write_results, HarnessOpts};
-use kucnet_datasets::{traditional_split, DatasetProfile, GeneratedDataset};
+use kucnet_datasets::{
+    load_island, traditional_split, write_scale_dataset, DatasetProfile, GeneratedDataset,
+    ScaleProfile,
+};
+use kucnet_graph::{Csr, NodeId, UserId};
+use kucnet_ppr::{sparse_ppr, PprCache, PprConfig, PPR_KEEP};
 use kucnet_tensor::{
     add_row_broadcast, fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into,
     gather_rows, global_pool_stats, mul_col_broadcast, scatter_add_rows, stable_sigmoid, tanh,
@@ -226,6 +238,92 @@ fn bench_tanh(len: usize, iters: usize) -> (Pair, f32) {
     (Pair { old_secs, new_secs }, max_abs_diff)
 }
 
+/// Row 5: PPR timings on one graph.
+struct PprRow {
+    graph: String,
+    nodes: usize,
+    edges: usize,
+    users: usize,
+    sparse_p50_ms: f64,
+    sparse_p90_ms: f64,
+    cache_secs: f64,
+    entries_fnv: u64,
+}
+
+/// Times `sparse_ppr` for each of the `users` user nodes (ids `0..users`)
+/// of `csr`, then `PprCache::compute` over all of them, and checks both
+/// produced the same entries bit for bit.
+fn bench_ppr(graph: String, csr: &Csr, users: usize) -> PprRow {
+    let config = PprConfig::default();
+    let mut per_user_ms = Vec::with_capacity(users);
+    let mut rows = Vec::with_capacity(users);
+    for u in 0..users {
+        let started = Instant::now();
+        let entries = sparse_ppr(csr, NodeId(u as u32), &config, PPR_KEEP);
+        per_user_ms.push(started.elapsed().as_secs_f64() * 1e3);
+        rows.push(std::hint::black_box(entries));
+    }
+    per_user_ms.sort_by(f64::total_cmp);
+    let pct = |q: f64| per_user_ms[((per_user_ms.len() - 1) as f64 * q).round() as usize];
+    let mut cache_secs = Vec::new();
+    let mut cache = None;
+    for _ in 0..3 {
+        let started = Instant::now();
+        cache = Some(PprCache::compute(csr, users, &config, PPR_KEEP, 1));
+        cache_secs.push(started.elapsed().as_secs_f64());
+    }
+    cache_secs.sort_by(f64::total_cmp);
+    let cache = cache.expect("three timed runs");
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (u, row) in rows.iter().enumerate() {
+        let cached = cache.entries(UserId(u as u32));
+        let key = |e: &[(u32, f32)]| e.iter().map(|&(n, s)| (n, s.to_bits())).collect::<Vec<_>>();
+        assert_eq!(key(row), key(cached), "sparse_ppr diverged from the cache for user {u}");
+        for (n, bits) in key(row) {
+            for b in n.to_le_bytes().into_iter().chain(bits.to_le_bytes()) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    PprRow {
+        graph,
+        nodes: csr.n_nodes(),
+        edges: csr.n_edges(),
+        users,
+        sparse_p50_ms: pct(0.5),
+        sparse_p90_ms: pct(0.9),
+        cache_secs: cache_secs[1],
+        entries_fnv: hash,
+    }
+}
+
+/// Row 5 over lastfm-small (tiny under `--smoke`) and one scale-profile
+/// island (the smoke scale profile's shape under `--smoke`).
+fn bench_ppr_rows(opts: &HarnessOpts, smoke: bool) -> Vec<PprRow> {
+    let profile = if smoke { DatasetProfile::tiny() } else { DatasetProfile::lastfm_small() };
+    let data = GeneratedDataset::generate(&profile, opts.seed);
+    let ckg = data.build_ckg(&traditional_split(&data, 0.2, opts.seed).train);
+    let mut rows = vec![bench_ppr(profile.name.to_string(), ckg.csr(), ckg.n_users())];
+
+    // One island: the full profile at 2^17 users has 2^17 / 512 = 256
+    // users per island, so a one-island profile with 256 users has its
+    // shape without generating the other 511.
+    let (base, name) = if smoke {
+        (ScaleProfile::smoke(), "scale-smoke-island")
+    } else {
+        (ScaleProfile { n_users: 1 << 17, ..ScaleProfile::full() }, "scale-2^17-island")
+    };
+    let island = ScaleProfile { n_users: base.n_users / base.n_islands, n_islands: 1, ..base };
+    let dir = std::env::temp_dir().join(format!("kucnet_bench_kernels_{}", std::process::id()));
+    write_scale_dataset(&island, &dir).expect("generate the island");
+    let seg = load_island(&dir, &island, 0).expect("load the island");
+    let _ = std::fs::remove_dir_all(&dir);
+    // Segment-local ids are monotone in global ids, and users come first.
+    let users = seg.users(island.n_users).count();
+    rows.push(bench_ppr(name.to_string(), seg.csr(), users));
+    rows
+}
+
 /// Comparison 2: one full train epoch cold (pool empty) vs warm, with the
 /// fresh-allocation counts that prove pooling works.
 struct EpochStats {
@@ -289,6 +387,7 @@ fn main() {
     let (th, th_diff) = bench_tanh(tanh_len, tanh_iters);
     let ns_per_elem = |secs: f64| secs * 1e9 / (tanh_iters * tanh_len) as f64;
     let ep = bench_train_epoch(&opts, smoke || quick);
+    let ppr = bench_ppr_rows(&opts, smoke);
     let fresh_per_user_warm = ep.warm_fresh as f64 / ep.users.max(1) as f64;
 
     println!("\n== Hot-path kernel benchmark ==");
@@ -322,6 +421,20 @@ fn main() {
         "pool steady state         {:.2} fresh matrix allocs per user per epoch after warm-up",
         fresh_per_user_warm
     );
+    for row in &ppr {
+        println!(
+            "ppr {} ({} nodes, {} edges, {} users)   sparse_ppr p50 {:.3} ms p90 {:.3} ms   \
+             PprCache::compute {:.4}s   entries fnv {:#018x}",
+            row.graph,
+            row.nodes,
+            row.edges,
+            row.users,
+            row.sparse_p50_ms,
+            row.sparse_p90_ms,
+            row.cache_secs,
+            row.entries_fnv
+        );
+    }
 
     let node_level_json: Vec<String> = shapes
         .iter()
@@ -342,6 +455,26 @@ fn main() {
                 pair.new_secs,
                 pair.speedup(),
                 diff
+            )
+        })
+        .collect();
+    let ppr_json: Vec<String> = ppr
+        .iter()
+        .map(|row| {
+            format!(
+                concat!(
+                    "    {{\"graph\": \"{}\", \"nodes\": {}, \"edges\": {}, \"users\": {}, ",
+                    "\"sparse_ppr_p50_ms\": {:.4}, \"sparse_ppr_p90_ms\": {:.4}, ",
+                    "\"cache_compute_secs\": {:.4}, \"entries_fnv\": \"{:#018x}\"}}"
+                ),
+                row.graph,
+                row.nodes,
+                row.edges,
+                row.users,
+                row.sparse_p50_ms,
+                row.sparse_p90_ms,
+                row.cache_secs,
+                row.entries_fnv
             )
         })
         .collect();
@@ -366,7 +499,8 @@ fn main() {
             "    \"warm_fresh_allocs\": {},\n",
             "    \"warm_reused_allocs\": {},\n",
             "    \"warm_fresh_allocs_per_user\": {:.3}\n",
-            "  }}\n",
+            "  }},\n",
+            "  \"ppr\": [\n{}\n  ]\n",
             "}}\n"
         ),
         smoke,
@@ -391,6 +525,7 @@ fn main() {
         ep.warm_fresh,
         ep.warm_reused,
         fresh_per_user_warm,
+        ppr_json.join(",\n"),
     );
     write_results("BENCH_kernels.json", &json);
 }

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, ItemId, LayeredGraph, NodeId, UserId};
-use kucnet_ppr::{PprCache, PprConfig};
+use kucnet_ppr::{PprCache, PprConfig, PPR_KEEP};
 use kucnet_tensor::{
     collect_grads, Adam, GradEntry, Matrix, MatrixPool, ParamStore, Tape, TapeStash, Var,
 };
@@ -58,7 +58,7 @@ impl KucNet {
                 ckg.csr(),
                 ckg.n_users(),
                 &PprConfig::default(),
-                4096,
+                PPR_KEEP,
                 config.threads,
             );
             (Some(cache), started.elapsed().as_secs_f64())

@@ -17,19 +17,13 @@
 use std::sync::Arc;
 
 use kucnet_graph::{Layer, LayeredGraph, NodeId, Segment, SegmentLayout, ShardedCkg, UserId};
-use kucnet_ppr::{sparse_ppr, PprConfig};
+use kucnet_ppr::{sparse_ppr, PprConfig, PPR_KEEP};
 use kucnet_tensor::MatrixPool;
 
 use crate::config::{KucNetConfig, SelectorKind};
 use crate::frozen::{build_user_graph, FrozenModel};
 use crate::infer::ScoreService;
 use crate::model::model_rng;
-
-/// How many sparse PPR entries a lazy per-request computation keeps. Must
-/// equal the literal the eager [`kucnet_ppr::PprCache`] path in
-/// [`crate::KucNet::new`] uses, or the kept-entry sets — and therefore the
-/// pruned subgraphs — would diverge from the unsharded model.
-const PPR_KEEP: usize = 4096;
 
 /// One shard's scoring service over a segmented CKG.
 pub struct ShardService {

@@ -29,7 +29,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kucnet_graph::{Ckg, Csr, NodeId, RelId, Triple};
-use kucnet_ppr::{influence_frontier, sparse_ppr, PprCache, PprConfig};
+use kucnet_ppr::{influence_frontier, PprCache, PprConfig, PprGraph, PPR_KEEP};
 use kucnet_serve::{AppendAck, RefreshAck};
 use parking_lot::{Mutex, RwLock};
 
@@ -42,7 +42,8 @@ pub struct DynamicConfig {
     /// (`PprConfig::default()` for a stock `KucNet`) for snapshot entries to
     /// be interchangeable with the model's own cache.
     pub ppr: PprConfig,
-    /// Sparse entries kept per user PPR vector (stock `KucNet` uses 4096).
+    /// Sparse entries kept per user PPR vector (stock `KucNet` uses
+    /// [`PPR_KEEP`]).
     pub keep: usize,
     /// Overlay size (in logical triples) beyond which a refresh tick
     /// compacts the delta back into a fresh base CSR.
@@ -54,7 +55,7 @@ pub struct DynamicConfig {
 
 impl Default for DynamicConfig {
     fn default() -> Self {
-        Self { ppr: PprConfig::default(), keep: 4096, compact_threshold: 1024, threads: 1 }
+        Self { ppr: PprConfig::default(), keep: PPR_KEEP, compact_threshold: 1024, threads: 1 }
     }
 }
 
@@ -358,10 +359,9 @@ impl DynamicGraph {
             .map(|u| kucnet_graph::index_u32(u, "user id"))
             .collect();
         let recomputed_entries: Vec<Vec<(u32, f32)>> = {
-            let (base_ref, delta_ref, dirty_ref) = (&old.base, &delta, &dirty_users);
+            let graph = PprGraph::new(&DeltaView::new(&old.base, &delta));
             kucnet_par::par_map(self.config.threads, dirty_users.len(), |i| {
-                let view = DeltaView::new(base_ref, delta_ref);
-                sparse_ppr(&view, NodeId(dirty_ref[i]), &self.config.ppr, self.config.keep)
+                graph.sparse(NodeId(dirty_users[i]), &self.config.ppr, self.config.keep)
             })
         };
         let new_epoch = old.epoch + 1;

@@ -34,8 +34,8 @@ pub struct DynamicService {
 impl DynamicService {
     /// Pairs `model` with an explicitly constructed graph. The graph's PPR
     /// parameters must match the model's preprocessing (`PprConfig::default()`
-    /// and `keep = 4096` for a stock `KucNet`) or subgraphs will diverge
-    /// from the static scoring path.
+    /// and `keep = kucnet_ppr::PPR_KEEP` for a stock `KucNet`) or subgraphs
+    /// will diverge from the static scoring path.
     pub fn new(model: Arc<KucNet>, graph: Arc<DynamicGraph>) -> Self {
         debug_assert_eq!(model.ckg().n_users(), graph.snapshot().n_users());
         Self { model, graph }

@@ -3,13 +3,17 @@
 //! The core property: after an arbitrary sequence of edge inserts and
 //! refresh ticks, every user's sparse PPR entries — pruned (`keep` small)
 //! or unpruned (`keep = MAX`) — equal a from-scratch recompute over the
-//! final graph, entry for entry and bit for bit.
+//! final graph, entry for entry and bit for bit. Beneath it, the pull-order
+//! PPR kernel over a delta overlay equals the push-order oracle bitwise.
 
 use proptest::prelude::*;
 
-use kucnet_dynamic::{DynamicConfig, DynamicGraph, RefreshPhase};
-use kucnet_graph::{Ckg, CkgBuilder, EntityId, ItemId, KgNode, UserId};
-use kucnet_ppr::PprConfig;
+use kucnet_dynamic::{DeltaAdj, DeltaView, DynamicConfig, DynamicGraph, RefreshPhase};
+use kucnet_graph::{Ckg, CkgBuilder, EntityId, ItemId, KgNode, NodeId, RelId, Triple, UserId};
+use kucnet_ppr::{PprConfig, PprGraph};
+
+#[path = "../../ppr/tests/support/push_oracle.rs"]
+mod push_oracle;
 
 const N_USERS: u32 = 6;
 const N_ITEMS: u32 = 8;
@@ -100,6 +104,34 @@ fn fast_config(keep: usize) -> DynamicConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `PprGraph` built over a `DeltaView` (base edges, then appended
+    /// triples, per node) returns the push oracle's bits for every source.
+    #[test]
+    fn pull_ppr_over_delta_view_matches_push_oracle(
+        ckg in random_base(),
+        appended in proptest::collection::vec((0u32..64, 0u32..8, 0u32..64), 0..30),
+        iterations in 0usize..30,
+        alpha in 0.01f32..0.99,
+    ) {
+        let base = ckg.csr();
+        let (n, n_base) = (base.n_nodes() as u32, base.n_base_relations());
+        let mut delta = DeltaAdj::new(base.n_nodes());
+        for (h, r, t) in appended {
+            delta.push(Triple::new(NodeId(h % n), RelId(r % n_base), NodeId(t % n)), n_base);
+        }
+        let view = DeltaView::new(base, &delta);
+        let config = PprConfig { alpha, iterations };
+        let pull = PprGraph::new(&view);
+        for s in 0..n {
+            let got: Vec<u32> = pull.scores(NodeId(s), &config).iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = push_oracle::push_ppr_scores(&view, NodeId(s), &config)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            prop_assert_eq!(got, want, "source {}", s);
+        }
+    }
 
     /// Unpruned incremental PPR equals from-scratch PPR on the final graph.
     #[test]

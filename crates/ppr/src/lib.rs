@@ -7,9 +7,17 @@
 //!
 //! Scores are computed by power iteration on the column-normalized adjacency
 //! matrix with restart probability `alpha` (default 0.15, 20 iterations,
-//! matching the paper). Per-user score vectors can be precomputed in parallel
-//! with [`PprCache::compute`], optionally sparsified to the top entries
-//! since PPR mass is heavily localized around the source.
+//! matching the paper). One kernel runs every round: [`PprGraph`] lays a
+//! graph's in-adjacency out once as a sliced ELL (8 targets per chunk,
+//! sources column-major), and each round every target gathers its sources'
+//! shares in ascending source order — the order a push-style scatter adds
+//! them, so the scores are bitwise those of the push iteration over any
+//! [`kucnet_graph::GraphView`] of the same edges. Training
+//! ([`PprCache::compute`], per-user vectors in parallel over one shared
+//! graph), the dynamic graph's refresh ticks, lazy per-request serving
+//! ([`sparse_ppr`]) and the PPR baseline all call it. Vectors are
+//! sparsified to the top [`PPR_KEEP`] entries, since PPR mass is heavily
+//! localized around the source.
 
 #![warn(missing_docs)]
 
@@ -17,6 +25,6 @@ mod power;
 mod prune;
 mod push;
 
-pub use power::{ppr_scores, validate_scores, PprConfig};
-pub use prune::{sparse_ppr, PprCache, PprTopK, RandomK};
+pub use power::{ppr_scores, validate_scores, PprConfig, PprGraph};
+pub use prune::{sparse_ppr, PprCache, PprTopK, RandomK, PPR_KEEP};
 pub use push::influence_frontier;

@@ -17,43 +17,138 @@ impl Default for PprConfig {
     }
 }
 
-/// Computes the PPR score vector `r_u` for a single source node by iterating
-/// `r^{k+1} = (1 - alpha) * M * r^k + alpha * p`, where `M` is the
-/// column-normalized adjacency of the CKG (reverse edges included, so the
-/// graph is symmetric) and `p` is the one-hot restart vector at `source`.
+/// Targets per chunk of the sliced in-adjacency: each chunk sums its
+/// targets in this many independent accumulators.
+const LANES: usize = 8;
+
+/// A graph's in-adjacency laid out for pull-order PPR rounds (a sliced ELL,
+/// SELL-C-σ with C = 8 and σ = all nodes): targets are grouped 8 to a chunk
+/// in descending in-degree order (ties by id), and each chunk stores its
+/// source ids column-major, padded to the chunk's longest column with slot
+/// `n_nodes`, whose share is always `+0.0`.
 ///
-/// Generic over [`GraphView`]: the same iteration (and the same float
-/// accumulation order, which follows the view's out-edge order) runs over a
-/// plain CSR or a dynamic delta overlay, so scores are bitwise comparable
-/// across representations of the same graph.
-pub fn ppr_scores<G: GraphView>(csr: &G, source: NodeId, config: &PprConfig) -> Vec<f32> {
-    let n = csr.n_nodes();
-    let mut r = vec![0.0f32; n];
-    let mut next = vec![0.0f32; n];
-    r[source.0 as usize] = 1.0;
-    // Precompute 1/degree; isolated nodes keep their mass (dangling handling:
-    // restart only, which is fine because we renormalize implicitly via the
-    // restart term).
-    for _ in 0..config.iterations {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for (node, &mass) in r.iter().enumerate() {
-            if mass == 0.0 {
-                continue;
-            }
+/// Every target lists its sources in ascending id order with multiplicity,
+/// which is the order a push-style round (every source, ascending, scatters
+/// its share to every out-edge) adds them, and a padded `+0.0` leaves a
+/// nonnegative sum unchanged. So [`PprGraph::scores`] returns bitwise what
+/// the push iteration returns, over any [`GraphView`] of the same edges.
+#[derive(Clone, Debug)]
+pub struct PprGraph {
+    /// Out-degree of every node, as the divisor of its share.
+    degree: Vec<f32>,
+    /// Node ids in chunk order (descending in-degree, then ascending id).
+    order: Vec<u32>,
+    /// Start of each chunk's block in `sources`; one entry per chunk, plus
+    /// the end.
+    offsets: Vec<usize>,
+    /// Source ids: slot `k` of lane `j` in chunk `c` is at
+    /// `offsets[c] + k * LANES + j`; padding slots hold `n_nodes`.
+    sources: Vec<u32>,
+}
+
+impl PprGraph {
+    /// Builds the in-adjacency of `graph` in two passes over its out-edges:
+    /// the first records out-degrees and counts in-degrees, the second
+    /// scatters each source id, in ascending source order, into its
+    /// target's next slot.
+    pub fn new<G: GraphView>(graph: &G) -> Self {
+        let n = graph.n_nodes();
+        let pad = index_u32(n, "node count");
+        let mut degree = Vec::with_capacity(n);
+        let mut in_degree = vec![0usize; n];
+        for node in 0..n {
             let node = NodeId(index_u32(node, "node id"));
-            let deg = csr.degree(node);
-            if deg == 0 {
-                continue;
+            degree.push(graph.degree(node) as f32);
+            graph.visit_out_edges(node, |e| in_degree[e.tail.0 as usize] += 1);
+        }
+
+        // Counting sort by descending in-degree; ascending id breaks ties.
+        let max_in = in_degree.iter().copied().max().unwrap_or(0);
+        let mut bucket_start = vec![0usize; max_in + 2];
+        for &d in &in_degree {
+            bucket_start[max_in - d + 1] += 1;
+        }
+        for b in 1..bucket_start.len() {
+            bucket_start[b] += bucket_start[b - 1];
+        }
+        let mut order = vec![0u32; n];
+        for (node, &d) in in_degree.iter().enumerate() {
+            let slot = &mut bucket_start[max_in - d];
+            order[*slot] = index_u32(node, "node id");
+            *slot += 1;
+        }
+
+        // Each chunk is as long as its first (largest) column; every
+        // target's cursor starts at its lane of slot 0.
+        let mut offsets = Vec::with_capacity(n.div_ceil(LANES) + 1);
+        offsets.push(0usize);
+        let mut cursor = vec![0usize; n];
+        for targets in order.chunks(LANES) {
+            let start = offsets[offsets.len() - 1];
+            for (lane, &t) in targets.iter().enumerate() {
+                cursor[t as usize] = start + lane;
             }
-            let share = (1.0 - config.alpha) * mass / deg as f32;
-            csr.visit_out_edges(node, |e| {
-                next[e.tail.0 as usize] += share;
+            offsets.push(start + LANES * in_degree[targets[0] as usize]);
+        }
+        let mut sources = vec![pad; offsets[offsets.len() - 1]];
+        for node in 0..n {
+            let id = index_u32(node, "node id");
+            graph.visit_out_edges(NodeId(id), |e| {
+                let slot = &mut cursor[e.tail.0 as usize];
+                sources[*slot] = id;
+                *slot += LANES;
             });
         }
-        next[source.0 as usize] += config.alpha;
-        std::mem::swap(&mut r, &mut next);
+        Self { degree, order, offsets, sources }
     }
-    r
+
+    /// Number of nodes (the length of every score vector).
+    pub fn n_nodes(&self) -> usize {
+        self.degree.len()
+    }
+
+    /// Computes the PPR score vector `r_u` for `source` by iterating
+    /// `r^{k+1} = (1 - alpha) * M * r^k + alpha * p`, where `M` is the
+    /// column-normalized adjacency and `p` the one-hot restart vector at
+    /// `source`. Each round computes every node's share
+    /// `(1 - alpha) * r[s] / deg[s]` (0 for a node without mass or
+    /// out-edges), then each target sums its sources' shares.
+    pub fn scores(&self, source: NodeId, config: &PprConfig) -> Vec<f32> {
+        let n = self.n_nodes();
+        let mut r = vec![0.0f32; n];
+        // One extra slot: the padding source, whose share stays +0.0.
+        let mut share = vec![0.0f32; n + 1];
+        r[source.0 as usize] = 1.0;
+        for _ in 0..config.iterations {
+            for ((sh, &mass), &deg) in share.iter_mut().zip(&r).zip(&self.degree) {
+                *sh =
+                    if mass == 0.0 || deg == 0.0 { 0.0 } else { (1.0 - config.alpha) * mass / deg };
+            }
+            for (targets, bounds) in self.order.chunks(LANES).zip(self.offsets.windows(2)) {
+                let mut acc = [0.0f32; LANES];
+                for row in self.sources[bounds[0]..bounds[1]].chunks_exact(LANES) {
+                    for (a, &s) in acc.iter_mut().zip(row) {
+                        *a += share[s as usize];
+                    }
+                }
+                for (&t, a) in targets.iter().zip(acc) {
+                    r[t as usize] = a;
+                }
+            }
+            r[source.0 as usize] += config.alpha;
+        }
+        r
+    }
+}
+
+/// Computes the PPR score vector of `source` over `graph` (paper Eq. 13):
+/// builds the graph's [`PprGraph`] and runs [`PprGraph::scores`]. Callers
+/// scoring many sources over one graph build the [`PprGraph`] once.
+///
+/// Generic over [`GraphView`]: a plain CSR and a dynamic delta overlay of
+/// the same edges give bitwise the same scores.
+pub fn ppr_scores<G: GraphView>(graph: &G, source: NodeId, config: &PprConfig) -> Vec<f32> {
+    PprGraph::new(graph).scores(source, config)
 }
 
 /// Checks the invariants a PPR vector from [`ppr_scores`] must satisfy:

@@ -11,7 +11,13 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::power::{ppr_scores, PprConfig};
+use crate::power::{PprConfig, PprGraph};
+
+/// Sparse PPR entries kept per user by every KUCNet path: the eager
+/// [`PprCache`] of a trained model, the lazy per-request [`sparse_ppr`] of
+/// a shard and the dynamic graph's per-tick recompute. One constant keeps
+/// their kept-entry sets, and so their pruned subgraphs, identical.
+pub const PPR_KEEP: usize = 4096;
 
 /// Sparse per-user PPR scores: for each user, the top entries of its PPR
 /// vector stored as `(node, score)` sorted by node id for binary search.
@@ -23,21 +29,23 @@ pub struct PprCache {
 impl PprCache {
     /// Computes PPR vectors for all `n_users` users of the CKG (user nodes
     /// occupy ids `0..n_users`), keeping at most `keep` entries per user.
+    /// The graph's [`PprGraph`] is built once and shared by every worker.
     /// Computation is parallelized across `threads` worker threads on the
     /// shared `kucnet-par` pool; results are identical for every thread
     /// count, and a panicking worker re-raises its original payload on the
     /// caller (the message is not swallowed).
-    pub fn compute<G: GraphView + Sync>(
+    pub fn compute<G: GraphView>(
         csr: &G,
         n_users: usize,
         config: &PprConfig,
         keep: usize,
         threads: usize,
     ) -> Self {
+        let graph = PprGraph::new(csr);
         Self::compute_with(n_users, keep, threads, |u| {
-            let scores = ppr_scores(csr, NodeId(u), config);
+            let scores = graph.scores(NodeId(u), config);
             debug_assert_eq!(
-                crate::power::validate_scores(&scores, csr.n_nodes()),
+                crate::power::validate_scores(&scores, graph.n_nodes()),
                 Ok(()),
                 "PPR invariants violated for user {u}"
             );
@@ -106,14 +114,24 @@ impl PprCache {
 /// Computes the sparsified PPR entries for a single source node: the `keep`
 /// highest-scoring `(node, score)` pairs, sorted by node id — exactly one
 /// user's slice of what [`PprCache::compute`] produces (same iteration, same
-/// truncation, bitwise identical).
+/// truncation, bitwise identical). Builds the graph's [`PprGraph`] for this
+/// one source; callers scoring many sources keep a [`PprGraph`] and call
+/// [`PprGraph::sparse`].
 pub fn sparse_ppr<G: GraphView>(
     csr: &G,
     source: NodeId,
     config: &PprConfig,
     keep: usize,
 ) -> Vec<(u32, f32)> {
-    sparsify(&ppr_scores(csr, source, config), keep)
+    PprGraph::new(csr).sparse(source, config, keep)
+}
+
+impl PprGraph {
+    /// The `keep` highest-scoring `(node, score)` pairs of
+    /// [`PprGraph::scores`], sorted by node id.
+    pub fn sparse(&self, source: NodeId, config: &PprConfig, keep: usize) -> Vec<(u32, f32)> {
+        sparsify(&self.scores(source, config), keep)
+    }
 }
 
 fn sparsify(scores: &[f32], keep: usize) -> Vec<(u32, f32)> {
@@ -206,6 +224,7 @@ impl EdgeSelector for RandomK {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::ppr_scores;
     use kucnet_graph::{CkgBuilder, EntityId, ItemId, KgNode, UserId};
 
     fn star() -> kucnet_graph::Ckg {

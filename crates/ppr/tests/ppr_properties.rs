@@ -1,11 +1,117 @@
 //! Property-based tests of PPR power iteration and top-K pruning on random
-//! CKGs: probability-mass invariants of `ppr_scores` and the keep-exactly-K
-//! / keep-the-highest contract of `PprTopK`.
+//! CKGs: the pull-order `PprGraph` kernel equals the push-order oracle bit
+//! for bit, a golden checksum pins the tiny profile's vectors, and
+//! probability-mass invariants of `ppr_scores` and the keep-exactly-K /
+//! keep-the-highest contract of `PprTopK` hold.
 
 use proptest::prelude::*;
 
-use kucnet_graph::{CkgBuilder, EdgeSelector, EntityId, ItemId, KgNode, NodeId, RelId, UserId};
-use kucnet_ppr::{ppr_scores, validate_scores, PprCache, PprConfig};
+use kucnet_datasets::{DatasetProfile, GeneratedDataset};
+use kucnet_graph::{
+    CkgBuilder, Csr, EdgeSelector, EntityId, GraphView, ItemId, KgNode, NodeId, OutEdge, RelId,
+    Triple, UserId,
+};
+use kucnet_ppr::{ppr_scores, validate_scores, PprCache, PprConfig, PprGraph};
+
+#[path = "support/push_oracle.rs"]
+mod push_oracle;
+use push_oracle::push_ppr_scores;
+
+/// Strategy: a raw multigraph. Triples repeat (multi-edges) and may be
+/// self-loops; `isolated` trailing nodes get no edge at all; and node 0 may
+/// be a star hub joined to every other linked node once or twice, so its
+/// chunk's column is far longer than its neighbours' (padding).
+fn random_multigraph() -> impl Strategy<Value = Csr> {
+    let triples = proptest::collection::vec((0u32..40, 0u32..3, 0u32..40), 0..120);
+    (1u32..40, 0usize..4, triples, 0u32..3).prop_map(|(linked, isolated, raw, hub)| {
+        let mut triples: Vec<Triple> = raw
+            .into_iter()
+            .map(|(h, r, t)| Triple::new(NodeId(h % linked), RelId(r), NodeId(t % linked)))
+            .collect();
+        for _ in 0..hub {
+            triples.extend((1..linked).map(|t| Triple::new(NodeId(0), RelId(0), NodeId(t))));
+        }
+        Csr::build(linked as usize + isolated, 3, &triples)
+    })
+}
+
+/// A non-symmetric view: only a CSR's forward (base-relation) edges, so a
+/// node's in- and out-neighbours differ and nodes without forward edges
+/// dangle (their mass leaves the graph).
+struct ForwardOnly<'a>(&'a Csr);
+
+impl GraphView for ForwardOnly<'_> {
+    fn n_nodes(&self) -> usize {
+        self.0.n_nodes()
+    }
+
+    fn n_base_relations(&self) -> u32 {
+        self.0.n_base_relations()
+    }
+
+    fn degree(&self, node: NodeId) -> usize {
+        let mut d = 0;
+        self.visit_out_edges(node, |_| d += 1);
+        d
+    }
+
+    fn visit_out_edges<F: FnMut(OutEdge)>(&self, node: NodeId, mut visit: F) {
+        let n_base = self.0.n_base_relations();
+        self.0.out_edges(node).filter(|e| e.rel.0 < n_base).for_each(&mut visit);
+    }
+}
+
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// Asserts `PprGraph::scores` equals the push oracle bitwise for every
+/// source of `graph`.
+fn assert_pull_matches_push<G: GraphView>(graph: &G, config: &PprConfig) {
+    let pull = PprGraph::new(graph);
+    assert_eq!(pull.n_nodes(), graph.n_nodes());
+    for s in 0..graph.n_nodes() as u32 {
+        let got = pull.scores(NodeId(s), config);
+        let want = push_ppr_scores(graph, NodeId(s), config);
+        assert_eq!(bits(&got), bits(&want), "source {s}, {config:?}");
+    }
+}
+
+#[test]
+fn star_hub_matches_push_oracle_bitwise() {
+    // One hub with 200 spokes (in-degree 200 beside 1s and 2s: 7 padded
+    // lanes in the hub's chunk), a duplicated spoke edge, a chain hanging
+    // off one spoke and two isolated nodes at the end.
+    let mut triples: Vec<Triple> =
+        (1..=200).map(|t| Triple::new(NodeId(0), RelId(0), NodeId(t))).collect();
+    triples.push(Triple::new(NodeId(0), RelId(1), NodeId(7)));
+    triples.extend((200..220).map(|t| Triple::new(NodeId(t), RelId(1), NodeId(t + 1))));
+    let graph = Csr::build(223, 2, &triples);
+    for iterations in [0, 1, 20] {
+        let config = PprConfig { iterations, ..PprConfig::default() };
+        assert_pull_matches_push(&graph, &config);
+        assert_pull_matches_push(&ForwardOnly(&graph), &config);
+    }
+}
+
+/// FNV-1a over the little-endian bits of every tiny-profile user's full PPR
+/// vector. The constant was computed with the push-order iteration, before
+/// the pull-order kernel replaced it.
+#[test]
+fn tiny_profile_scores_match_golden_checksum() {
+    let data = GeneratedDataset::generate(&DatasetProfile::tiny(), 42);
+    let ckg = data.build_ckg(&data.interactions);
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for u in 0..ckg.n_users() as u32 {
+        for s in ppr_scores(ckg.csr(), ckg.user_node(UserId(u)), &PprConfig::default()) {
+            for b in s.to_bits().to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(hash, 0xdcc7_451a_9029_0d35, "tiny-profile PPR vectors changed");
+}
 
 /// Strategy: a random small CKG. User 0 is always given one interaction so
 /// the PPR source node has at least one out-edge (every reached node then
@@ -24,6 +130,23 @@ fn random_ckg() -> impl Strategy<Value = kucnet_graph::Ckg> {
         }
         b.build()
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pull-order kernel returns the push oracle's bits for every
+    /// source, on symmetric CSRs and on their forward-only views.
+    #[test]
+    fn pull_kernel_matches_push_oracle_bitwise(
+        graph in random_multigraph(),
+        iterations in 0usize..30,
+        alpha in 0.01f32..0.99,
+    ) {
+        let config = PprConfig { alpha, iterations };
+        assert_pull_matches_push(&graph, &config);
+        assert_pull_matches_push(&ForwardOnly(&graph), &config);
+    }
 }
 
 proptest! {

@@ -32,6 +32,9 @@ cargo test -q
 echo "== ranking + model: kucnet-eval and kucnet suites (top-k tie rule, sparse == dense) =="
 cargo test -q -p kucnet-eval -p kucnet
 
+echo "== PPR: unit + property tests (pull kernel == push oracle bitwise, golden checksum) =="
+cargo test -q -p kucnet-ppr
+
 echo "== tensor unit tests: tanh kernel contract (ulp bound, odd symmetry, special values) =="
 cargo test -q -p kucnet-tensor --lib
 
