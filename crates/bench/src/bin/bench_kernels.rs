@@ -2,7 +2,7 @@
 //! kernels that replaced them, checks every pair agrees, and writes
 //! `results/BENCH_kernels.json`.
 //!
-//! Four comparisons and one timing row:
+//! Four comparisons and two timing rows:
 //!
 //! 1. **matmul** — the pre-overhaul naive i/k/j triple loop (including its
 //!    `a == 0.0` skip) vs the register-blocked [`Matrix::matmul`], bitwise.
@@ -28,21 +28,29 @@
 //!    `sparse_ppr` entries must equal its cache row bitwise; `entries_fnv`
 //!    (FNV-1a over every row's ids and score bits) lets two commits show
 //!    they computed the same vectors.
+//! 6. **layering** — per-user [`build_user_graph`] (the `PprTopK` layered
+//!    graph the serve path builds on a cache miss; p50/p90 µs over five
+//!    passes of every user) on the same two graphs, the island's through
+//!    its [`kucnet_graph::SegmentView`] with entries lifted to global ids
+//!    as a shard does. `graph_fnv` (FNV-1a over every user's node lists,
+//!    `src_pos`, `rel` and `dst_pos`) lets two commits show they built the
+//!    same graphs.
 //!
 //! `--smoke` shrinks every size so the whole binary runs in seconds (used
-//! by `scripts/check.sh`); `--quick` only trims the train-epoch phase.
+//! by `scripts/check.sh`) and writes under `target/bench-smoke/`, never
+//! over the committed results; `--quick` only trims the train-epoch phase.
 //! Every run stamps `profile`, `seed`, `threads`, and the git commit into
 //! `BENCH_kernels.json` so the recorded deltas stay attributable.
 
 use std::time::Instant;
 
-use kucnet::{KucNet, SelectorKind};
+use kucnet::{build_user_graph, KucNet, KucNetConfig, SelectorKind};
 use kucnet_bench::{git_commit, kucnet_config, write_results, HarnessOpts};
 use kucnet_datasets::{
     load_island, traditional_split, write_scale_dataset, DatasetProfile, GeneratedDataset,
     ScaleProfile,
 };
-use kucnet_graph::{Csr, NodeId, UserId};
+use kucnet_graph::{Csr, GraphView, NodeId, UserId};
 use kucnet_ppr::{sparse_ppr, PprCache, PprConfig, PPR_KEEP};
 use kucnet_tensor::{
     add_row_broadcast, fused_gather_add_scale_scatter_into, fused_gather_attn_scores_into,
@@ -253,7 +261,7 @@ struct PprRow {
 /// Times `sparse_ppr` for each of the `users` user nodes (ids `0..users`)
 /// of `csr`, then `PprCache::compute` over all of them, and checks both
 /// produced the same entries bit for bit.
-fn bench_ppr(graph: String, csr: &Csr, users: usize) -> PprRow {
+fn bench_ppr(graph: String, csr: &Csr, users: usize) -> (PprRow, PprCache) {
     let config = PprConfig::default();
     let mut per_user_ms = Vec::with_capacity(users);
     let mut rows = Vec::with_capacity(users);
@@ -285,7 +293,7 @@ fn bench_ppr(graph: String, csr: &Csr, users: usize) -> PprRow {
             }
         }
     }
-    PprRow {
+    let row = PprRow {
         graph,
         nodes: csr.n_nodes(),
         edges: csr.n_edges(),
@@ -294,16 +302,80 @@ fn bench_ppr(graph: String, csr: &Csr, users: usize) -> PprRow {
         sparse_p90_ms: pct(0.9),
         cache_secs: cache_secs[1],
         entries_fnv: hash,
+    };
+    (row, cache)
+}
+
+/// Row 6: per-user layering timings on one graph.
+struct LayeringRow {
+    graph: String,
+    users: usize,
+    edges: usize,
+    p50_us: f64,
+    p90_us: f64,
+    graph_fnv: u64,
+}
+
+/// Times `build_user_graph` for every user of `users` over `view`, five
+/// passes, with `entries[i]` as user `i`'s sparse PPR row, and hashes the
+/// graphs of the first pass.
+fn bench_layering<G: GraphView>(
+    graph: String,
+    view: &G,
+    users: &[UserId],
+    entries: &[Vec<(u32, f32)>],
+    config: &KucNetConfig,
+) -> LayeringRow {
+    let mut samples_us = Vec::with_capacity(5 * users.len());
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut edges = 0;
+    for pass in 0..5 {
+        for (&user, row) in users.iter().zip(entries) {
+            let started = Instant::now();
+            let built = build_user_graph(view, user, config, row, Vec::new());
+            samples_us.push(started.elapsed().as_secs_f64() * 1e6);
+            if pass > 0 {
+                continue;
+            }
+            edges += built.total_edges();
+            let words = built.node_lists.iter().flat_map(|l| l.iter().map(|n| n.0)).chain(
+                built
+                    .layers
+                    .iter()
+                    .flat_map(|l| l.src_pos.iter().chain(&l.rel).chain(&l.dst_pos).copied()),
+            );
+            for w in words {
+                for b in w.to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    samples_us.sort_by(f64::total_cmp);
+    let pct = |q: f64| samples_us[((samples_us.len() - 1) as f64 * q).round() as usize];
+    LayeringRow {
+        graph,
+        users: users.len(),
+        edges,
+        p50_us: pct(0.5),
+        p90_us: pct(0.9),
+        graph_fnv: hash,
     }
 }
 
-/// Row 5 over lastfm-small (tiny under `--smoke`) and one scale-profile
-/// island (the smoke scale profile's shape under `--smoke`).
-fn bench_ppr_rows(opts: &HarnessOpts, smoke: bool) -> Vec<PprRow> {
+/// Rows 5 and 6 over lastfm-small (tiny under `--smoke`) and one
+/// scale-profile island (the smoke scale profile's shape under `--smoke`).
+fn bench_graph_rows(opts: &HarnessOpts, smoke: bool) -> (Vec<PprRow>, Vec<LayeringRow>) {
+    let config = kucnet_config(opts, SelectorKind::PprTopK, true);
     let profile = if smoke { DatasetProfile::tiny() } else { DatasetProfile::lastfm_small() };
     let data = GeneratedDataset::generate(&profile, opts.seed);
     let ckg = data.build_ckg(&traditional_split(&data, 0.2, opts.seed).train);
-    let mut rows = vec![bench_ppr(profile.name.to_string(), ckg.csr(), ckg.n_users())];
+    let (ppr_row, cache) = bench_ppr(profile.name.to_string(), ckg.csr(), ckg.n_users());
+    let users: Vec<UserId> = (0..ckg.n_users() as u32).map(UserId).collect();
+    let entries: Vec<Vec<(u32, f32)>> = users.iter().map(|&u| cache.entries(u).to_vec()).collect();
+    let mut ppr = vec![ppr_row];
+    let mut layering =
+        vec![bench_layering(profile.name.to_string(), ckg.csr(), &users, &entries, &config)];
 
     // One island: the full profile at 2^17 users has 2^17 / 512 = 256
     // users per island, so a one-island profile with 256 users has its
@@ -319,9 +391,18 @@ fn bench_ppr_rows(opts: &HarnessOpts, smoke: bool) -> Vec<PprRow> {
     let seg = load_island(&dir, &island, 0).expect("load the island");
     let _ = std::fs::remove_dir_all(&dir);
     // Segment-local ids are monotone in global ids, and users come first.
-    let users = seg.users(island.n_users).count();
-    rows.push(bench_ppr(name.to_string(), seg.csr(), users));
-    rows
+    let users: Vec<UserId> = seg.users(island.n_users).collect();
+    let (ppr_row, cache) = bench_ppr(name.to_string(), seg.csr(), users.len());
+    // Lift each row local→global, as a shard does before layering.
+    let entries: Vec<Vec<(u32, f32)>> = (0..users.len() as u32)
+        .map(|u| {
+            cache.entries(UserId(u)).iter().map(|&(n, s)| (seg.nodes()[n as usize], s)).collect()
+        })
+        .collect();
+    let view = seg.view(island.layout().n_nodes());
+    ppr.push(ppr_row);
+    layering.push(bench_layering(name.to_string(), &view, &users, &entries, &config));
+    (ppr, layering)
 }
 
 /// Comparison 2: one full train epoch cold (pool empty) vs warm, with the
@@ -387,7 +468,7 @@ fn main() {
     let (th, th_diff) = bench_tanh(tanh_len, tanh_iters);
     let ns_per_elem = |secs: f64| secs * 1e9 / (tanh_iters * tanh_len) as f64;
     let ep = bench_train_epoch(&opts, smoke || quick);
-    let ppr = bench_ppr_rows(&opts, smoke);
+    let (ppr, layering) = bench_graph_rows(&opts, smoke);
     let fresh_per_user_warm = ep.warm_fresh as f64 / ep.users.max(1) as f64;
 
     println!("\n== Hot-path kernel benchmark ==");
@@ -436,6 +517,14 @@ fn main() {
         );
     }
 
+    for row in &layering {
+        println!(
+            "layering {} ({} users, {} edges)   build_user_graph p50 {:.1} us p90 {:.1} us   \
+             graph fnv {:#018x}",
+            row.graph, row.users, row.edges, row.p50_us, row.p90_us, row.graph_fnv
+        );
+    }
+
     let node_level_json: Vec<String> = shapes
         .iter()
         .zip(&node_level)
@@ -478,6 +567,19 @@ fn main() {
             )
         })
         .collect();
+    let layering_json: Vec<String> = layering
+        .iter()
+        .map(|row| {
+            format!(
+                concat!(
+                    "    {{\"graph\": \"{}\", \"users\": {}, \"edges\": {}, ",
+                    "\"build_user_graph_p50_us\": {:.2}, \"build_user_graph_p90_us\": {:.2}, ",
+                    "\"graph_fnv\": \"{:#018x}\"}}"
+                ),
+                row.graph, row.users, row.edges, row.p50_us, row.p90_us, row.graph_fnv
+            )
+        })
+        .collect();
     let train_profile =
         if smoke || quick { DatasetProfile::tiny() } else { DatasetProfile::lastfm_small() };
     let json = format!(
@@ -500,7 +602,8 @@ fn main() {
             "    \"warm_reused_allocs\": {},\n",
             "    \"warm_fresh_allocs_per_user\": {:.3}\n",
             "  }},\n",
-            "  \"ppr\": [\n{}\n  ]\n",
+            "  \"ppr\": [\n{}\n  ],\n",
+            "  \"layering\": [\n{}\n  ]\n",
             "}}\n"
         ),
         smoke,
@@ -526,6 +629,7 @@ fn main() {
         ep.warm_reused,
         fresh_per_user_warm,
         ppr_json.join(",\n"),
+        layering_json.join(",\n"),
     );
     write_results("BENCH_kernels.json", &json);
 }

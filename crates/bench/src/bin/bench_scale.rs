@@ -384,8 +384,9 @@ fn main() {
         N_CLIENTS,
         scale_json.join(",\n"),
     );
-    // Smoke runs go to their own file so CI never clobbers the recorded
-    // full-scale (>= 1M user) numbers.
+    // Smoke runs go to their own file, under `target/bench-smoke/` (see
+    // `write_results`), so CI never clobbers the recorded full-scale
+    // (>= 1M user) numbers.
     write_results(if smoke { "BENCH_scale_smoke.json" } else { "BENCH_scale.json" }, &json);
     println!("\n== Scale benchmark done: {} user counts ==", scales.len());
 }

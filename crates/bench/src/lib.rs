@@ -382,9 +382,12 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Writes a TSV report under `results/` (created on demand).
+/// Writes a report under `results/` (created on demand). A binary run with
+/// `--smoke` writes under `target/bench-smoke/` instead, so CI-sized runs
+/// never overwrite the committed full-mode results.
 pub fn write_results(name: &str, tsv: &str) {
-    let dir = std::path::Path::new("results");
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let dir = std::path::Path::new(if smoke { "target/bench-smoke" } else { "results" });
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join(name);
         if let Err(e) = std::fs::write(&path, tsv) {

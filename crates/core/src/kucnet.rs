@@ -95,6 +95,12 @@ impl KucNet {
         &self.ckg
     }
 
+    /// The per-user PPR entries computed at construction, when the
+    /// selector uses them (`SelectorKind::PprTopK`).
+    pub fn ppr_cache(&self) -> Option<&PprCache> {
+        self.ppr.as_ref()
+    }
+
     /// The weights side of the model: what every graph source scores
     /// through (see [`FrozenModel`]).
     pub fn frozen(&self) -> &FrozenModel {

@@ -13,7 +13,8 @@
 //!
 //! A refresh tick recomputes PPR only for the **dirty frontier**: users
 //! within `iterations` hops of any new-edge endpoint (see
-//! `kucnet_ppr::influence_frontier` for why that is a sound superset).
+//! `kucnet_ppr::influence_frontier` for why that is a sound superset),
+//! eight users per sweep through `PprGraph::sparse_many`.
 //! Users outside the frontier keep entries bitwise equal to a from-scratch
 //! recompute; recomputed users whose entries did not change keep their old
 //! version stamp, so only genuinely affected users invalidate serve-cache
@@ -166,20 +167,27 @@ impl DynamicGraph {
     /// Wraps `ckg` as epoch 0 with an empty overlay and freshly computed
     /// PPR entries.
     pub fn new(ckg: &Ckg, config: DynamicConfig) -> Self {
+        let ppr =
+            PprCache::compute(ckg.csr(), ckg.n_users(), &config.ppr, config.keep, config.threads);
+        Self::with_entries(ckg, config, ppr.into_entries())
+    }
+
+    /// Wraps `ckg` as epoch 0 with an empty overlay and the given per-user
+    /// PPR entries, which must be what [`PprCache::compute`] over
+    /// `ckg.csr()` with `config`'s PPR parameters returns — a model's own
+    /// cache, for one, so that serving a trained model does not compute
+    /// its PPR twice.
+    ///
+    /// `ckg.csr()` is the CSR of the canonical triple list (interactions,
+    /// then KG triples), so the base is a copy of it.
+    pub fn with_entries(ckg: &Ckg, config: DynamicConfig, ppr: Vec<Vec<(u32, f32)>>) -> Self {
         let mut base_triples =
             Vec::with_capacity(ckg.interactions().len() + ckg.kg_triples().len());
         for &(u, i) in ckg.interactions() {
             base_triples.push(Triple::new(ckg.user_node(u), RelId::INTERACT, ckg.item_node(i)));
         }
         base_triples.extend_from_slice(ckg.kg_triples());
-        Self::from_canonical(
-            ckg.n_users(),
-            ckg.n_items(),
-            ckg.n_nodes(),
-            ckg.n_base_relations(),
-            base_triples,
-            config,
-        )
+        Self::assemble(ckg.n_users(), ckg.n_items(), ckg.csr().clone(), base_triples, config, ppr)
     }
 
     /// Builds epoch 0 directly from a canonical triple list — the
@@ -192,10 +200,23 @@ impl DynamicGraph {
         base_triples: Vec<Triple>,
         config: DynamicConfig,
     ) -> Self {
-        let base = Arc::new(Csr::build(n_nodes, n_base_relations, &base_triples));
-        let ppr =
-            PprCache::compute(base.as_ref(), n_users, &config.ppr, config.keep, config.threads)
-                .into_entries();
+        let base = Csr::build(n_nodes, n_base_relations, &base_triples);
+        let ppr = PprCache::compute(&base, n_users, &config.ppr, config.keep, config.threads)
+            .into_entries();
+        Self::assemble(n_users, n_items, base, base_triples, config, ppr)
+    }
+
+    /// Epoch 0 over `base` (the CSR of `base_triples`) with `ppr` as every
+    /// user's entries.
+    fn assemble(
+        n_users: usize,
+        n_items: usize,
+        base: Csr,
+        base_triples: Vec<Triple>,
+        config: DynamicConfig,
+        ppr: Vec<Vec<(u32, f32)>>,
+    ) -> Self {
+        debug_assert_eq!(ppr.len(), n_users, "one PPR entry list per user");
         let seen: BTreeSet<(u32, u32, u32)> =
             base_triples.iter().map(|t| (t.head.0, t.rel.0, t.tail.0)).collect();
         let snapshot = Arc::new(GraphSnapshot {
@@ -205,7 +226,7 @@ impl DynamicGraph {
             delta_log: Vec::new(),
             ppr,
             user_versions: vec![0; n_users],
-            base,
+            base: Arc::new(base),
         });
         Self {
             n_users,
@@ -358,11 +379,14 @@ impl DynamicGraph {
             .filter(|&u| frontier[u])
             .map(|u| kucnet_graph::index_u32(u, "user id"))
             .collect();
-        let recomputed_entries: Vec<Vec<(u32, f32)>> = {
-            let graph = PprGraph::new(&DeltaView::new(&old.base, &delta));
-            kucnet_par::par_map(self.config.threads, dirty_users.len(), |i| {
-                graph.sparse(NodeId(dirty_users[i]), &self.config.ppr, self.config.keep)
-            })
+        let recomputed_entries = {
+            let sources: Vec<NodeId> = dirty_users.iter().map(|&u| NodeId(u)).collect();
+            PprGraph::new(&DeltaView::new(&old.base, &delta)).sparse_many(
+                &sources,
+                &self.config.ppr,
+                self.config.keep,
+                self.config.threads,
+            )
         };
         let new_epoch = old.epoch + 1;
         let mut ppr = old.ppr.clone();

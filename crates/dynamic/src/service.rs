@@ -43,14 +43,22 @@ impl DynamicService {
 
     /// Builds the dynamic graph from `model`'s own CKG with matching PPR
     /// parameters — the standard way to make a trained model updatable.
+    /// Epoch 0 starts from a copy of the model's PPR cache when it has one
+    /// (the model computed it over the same CSR with the same parameters),
+    /// and computes the entries otherwise.
     pub fn for_model(model: Arc<KucNet>, compact_threshold: usize) -> Self {
         let config = DynamicConfig {
             compact_threshold,
             threads: model.config().threads,
             ..DynamicConfig::default()
         };
-        let graph = Arc::new(DynamicGraph::new(model.ckg(), config));
-        Self { model, graph }
+        let graph = match model.ppr_cache() {
+            Some(cache) => {
+                DynamicGraph::with_entries(model.ckg(), config, cache.clone().into_entries())
+            }
+            None => DynamicGraph::new(model.ckg(), config),
+        };
+        Self { model, graph: Arc::new(graph) }
     }
 
     /// The shared mutable graph (for driving ticks outside HTTP).

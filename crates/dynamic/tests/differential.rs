@@ -6,9 +6,12 @@
 use std::sync::Arc;
 
 use kucnet::{KucNet, KucNetConfig, ScoreService};
-use kucnet_datasets::{update_stream, DatasetProfile, GeneratedDataset, UpdateOp};
+use kucnet_datasets::{
+    traditional_split, update_stream, DatasetProfile, GeneratedDataset, UpdateOp,
+};
 use kucnet_dynamic::{DynamicConfig, DynamicGraph, DynamicService};
-use kucnet_graph::{Ckg, KgNode, UserId};
+use kucnet_graph::{Ckg, Csr, KgNode, UserId};
+use kucnet_ppr::{PprCache, PprConfig, PPR_KEEP};
 
 fn tiny_model() -> Arc<KucNet> {
     let data = GeneratedDataset::generate(&DatasetProfile::tiny(), 7);
@@ -53,6 +56,29 @@ fn epoch_zero_matches_the_static_model_exactly() {
         let via_dynamic = service.score_user(UserId(u));
         let via_static = ScoreService::score_user(model.as_ref(), UserId(u));
         assert_eq!(via_dynamic, via_static, "user {u} diverged at epoch 0");
+    }
+}
+
+#[test]
+fn for_model_entries_equal_a_fresh_compute_on_lastfm_small() {
+    // `for_model` starts epoch 0 from a copy of the model's PPR cache; it
+    // must equal a fresh compute over the CSR of the graph's own canonical
+    // triples, bit for bit.
+    let data = GeneratedDataset::generate(&DatasetProfile::lastfm_small(), 42);
+    let split = traditional_split(&data, 0.2, 42);
+    let model = Arc::new(KucNet::new(KucNetConfig::default(), data.build_ckg(&split.train)));
+    let service = DynamicService::for_model(Arc::clone(&model), 64);
+    let snap = service.graph().snapshot();
+    let ckg = model.ckg();
+    let base = Csr::build(ckg.n_nodes(), ckg.n_base_relations(), &snap.final_triples());
+    let fresh = PprCache::compute(&base, ckg.n_users(), &PprConfig::default(), PPR_KEEP, 1);
+    let key = |e: &[(u32, f32)]| e.iter().map(|&(n, s)| (n, s.to_bits())).collect::<Vec<_>>();
+    for u in 0..ckg.n_users() as u32 {
+        assert_eq!(
+            key(snap.ppr_entries(u)),
+            key(fresh.entries(UserId(u))),
+            "user {u}'s epoch-0 entries differ from a fresh compute"
+        );
     }
 }
 

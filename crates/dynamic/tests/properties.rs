@@ -133,6 +133,34 @@ proptest! {
         }
     }
 
+    /// Lane-batched `sparse_many` over a `DeltaView` returns per-source
+    /// `sparse`'s entries bit for bit, for 1-20 sources (duplicates
+    /// included) at 1-3 threads.
+    #[test]
+    fn sparse_many_over_delta_view_matches_per_source_sparse(
+        ckg in random_base(),
+        appended in proptest::collection::vec((0u32..64, 0u32..8, 0u32..64), 0..30),
+        raw_sources in proptest::collection::vec(0u32..64, 1..21),
+        threads in 1usize..4,
+        keep in 0usize..12,
+    ) {
+        let base = ckg.csr();
+        let (n, n_base) = (base.n_nodes() as u32, base.n_base_relations());
+        let mut delta = DeltaAdj::new(base.n_nodes());
+        for (h, r, t) in appended {
+            delta.push(Triple::new(NodeId(h % n), RelId(r % n_base), NodeId(t % n)), n_base);
+        }
+        let pull = PprGraph::new(&DeltaView::new(base, &delta));
+        let sources: Vec<NodeId> = raw_sources.iter().map(|&s| NodeId(s % n)).collect();
+        let config = PprConfig::default();
+        let key = |e: &[(u32, f32)]| e.iter().map(|&(n, s)| (n, s.to_bits())).collect::<Vec<_>>();
+        let many = pull.sparse_many(&sources, &config, keep, threads);
+        prop_assert_eq!(many.len(), sources.len());
+        for (&s, got) in sources.iter().zip(&many) {
+            prop_assert_eq!(key(got), key(&pull.sparse(s, &config, keep)), "source {:?}", s);
+        }
+    }
+
     /// Unpruned incremental PPR equals from-scratch PPR on the final graph.
     #[test]
     fn incremental_ppr_matches_from_scratch_unpruned(

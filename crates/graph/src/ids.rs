@@ -4,7 +4,40 @@
 //! single `u32` [`NodeId`] addresses any node while [`UserId`], [`ItemId`] and
 //! [`EntityId`] keep the domain-level APIs honest.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use serde::{Deserialize, Serialize};
+
+/// A multiplicative hasher for integer ids, for maps that are only looked
+/// up, never iterated. Each written integer is added to the state and
+/// multiplied by an odd constant; `finish` rotates the well-mixed high bits
+/// down to where the table takes its bucket index.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+/// A `HashMap` keyed by ids through [`IdHasher`].
+pub(crate) type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Index of a user in `0..n_users`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

@@ -11,9 +11,7 @@
 //! *positions within the adjacent layers' node lists*, which is exactly the
 //! indexing scheme the GNN's gather/scatter kernels need.
 
-use std::collections::HashMap;
-
-use crate::ids::{index_u32, NodeId, RelId};
+use crate::ids::{index_u32, IdHashMap, NodeId, RelId};
 use crate::view::GraphView;
 
 /// Per-head-node edge pruning policy (Alg. 1 line 4).
@@ -233,7 +231,7 @@ pub fn build_layered_graph<G: GraphView>(
     selector: &mut dyn EdgeSelector,
 ) -> LayeredGraph {
     let self_rel = csr.self_loop_rel();
-    let excluded: HashMap<(u32, u32), ()> = opts
+    let excluded: IdHashMap<(u32, u32), ()> = opts
         .excluded_interactions
         .iter()
         .flat_map(|&(a, b)| [((a.0, b.0), ()), ((b.0, a.0), ())])
@@ -250,7 +248,7 @@ pub fn build_layered_graph<G: GraphView>(
         let prev = node_lists.last().unwrap().clone();
         let mut layer = Layer::default();
         let mut next_nodes: Vec<NodeId> = Vec::new();
-        let mut next_pos: HashMap<u32, u32> = HashMap::new();
+        let mut next_pos: IdHashMap<u32, u32> = IdHashMap::default();
         let mut pos_of = |n: NodeId, next_nodes: &mut Vec<NodeId>| -> u32 {
             *next_pos.entry(n.0).or_insert_with(|| {
                 next_nodes.push(n);

@@ -12,10 +12,11 @@
 //! sources column-major), and each round every target gathers its sources'
 //! shares in ascending source order — the order a push-style scatter adds
 //! them, so the scores are bitwise those of the push iteration over any
-//! [`kucnet_graph::GraphView`] of the same edges. Training
-//! ([`PprCache::compute`], per-user vectors in parallel over one shared
-//! graph), the dynamic graph's refresh ticks, lazy per-request serving
-//! ([`sparse_ppr`]) and the PPR baseline all call it. Vectors are
+//! [`kucnet_graph::GraphView`] of the same edges. Many sources share one
+//! pass as lanes ([`PprGraph::sparse_many`], eight per sweep): training's
+//! [`PprCache::compute`] and the dynamic graph's refresh ticks run that
+//! way, while lazy per-request serving ([`sparse_ppr`]) and the PPR
+//! baseline run the one-lane case. Vectors are
 //! sparsified to the top [`PPR_KEEP`] entries, since PPR mass is heavily
 //! localized around the source.
 

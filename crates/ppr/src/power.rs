@@ -19,7 +19,11 @@ impl Default for PprConfig {
 
 /// Targets per chunk of the sliced in-adjacency: each chunk sums its
 /// targets in this many independent accumulators.
-const LANES: usize = 8;
+const CHUNK: usize = 8;
+
+/// Sources per sweep of [`PprGraph::sparse_many`]: every round loads the
+/// in-adjacency once and adds this many sources' shares per slot.
+pub(crate) const LANES: usize = 8;
 
 /// A graph's in-adjacency laid out for pull-order PPR rounds (a sliced ELL,
 /// SELL-C-σ with C = 8 and σ = all nodes): targets are grouped 8 to a chunk
@@ -41,8 +45,8 @@ pub struct PprGraph {
     /// Start of each chunk's block in `sources`; one entry per chunk, plus
     /// the end.
     offsets: Vec<usize>,
-    /// Source ids: slot `k` of lane `j` in chunk `c` is at
-    /// `offsets[c] + k * LANES + j`; padding slots hold `n_nodes`.
+    /// Source ids: slot `k` of target `j` in chunk `c` is at
+    /// `offsets[c] + k * CHUNK + j`; padding slots hold `n_nodes`.
     sources: Vec<u32>,
 }
 
@@ -80,15 +84,15 @@ impl PprGraph {
 
         // Each chunk is as long as its first (largest) column; every
         // target's cursor starts at its lane of slot 0.
-        let mut offsets = Vec::with_capacity(n.div_ceil(LANES) + 1);
+        let mut offsets = Vec::with_capacity(n.div_ceil(CHUNK) + 1);
         offsets.push(0usize);
         let mut cursor = vec![0usize; n];
-        for targets in order.chunks(LANES) {
+        for targets in order.chunks(CHUNK) {
             let start = offsets[offsets.len() - 1];
-            for (lane, &t) in targets.iter().enumerate() {
-                cursor[t as usize] = start + lane;
+            for (j, &t) in targets.iter().enumerate() {
+                cursor[t as usize] = start + j;
             }
-            offsets.push(start + LANES * in_degree[targets[0] as usize]);
+            offsets.push(start + CHUNK * in_degree[targets[0] as usize]);
         }
         let mut sources = vec![pad; offsets[offsets.len() - 1]];
         for node in 0..n {
@@ -96,7 +100,7 @@ impl PprGraph {
             graph.visit_out_edges(NodeId(id), |e| {
                 let slot = &mut cursor[e.tail.0 as usize];
                 sources[*slot] = id;
-                *slot += LANES;
+                *slot += CHUNK;
             });
         }
         Self { degree, order, offsets, sources }
@@ -110,32 +114,59 @@ impl PprGraph {
     /// Computes the PPR score vector `r_u` for `source` by iterating
     /// `r^{k+1} = (1 - alpha) * M * r^k + alpha * p`, where `M` is the
     /// column-normalized adjacency and `p` the one-hot restart vector at
-    /// `source`. Each round computes every node's share
-    /// `(1 - alpha) * r[s] / deg[s]` (0 for a node without mass or
-    /// out-edges), then each target sums its sources' shares.
+    /// `source`: the one-lane case of the sweep [`PprGraph::sparse_many`]
+    /// runs, so the scores equal that lane bit for bit.
     pub fn scores(&self, source: NodeId, config: &PprConfig) -> Vec<f32> {
+        self.sweep([source], config)
+    }
+
+    /// Runs the power iteration for `W` sources at once and returns their
+    /// score vectors node-major: entry `node * W + w` is lane `w`'s score of
+    /// `node`. Each round computes every node's per-lane share
+    /// `(1 - alpha) * r[s] / deg[s]` (0 for a node without mass or
+    /// out-edges), then each target sums its sources' shares lane by lane.
+    ///
+    /// Every lane adds the same shares in the same order as a one-source
+    /// sweep, so lane `w` is bitwise `scores(sources[w])`, and `W = 1`
+    /// returns that vector itself.
+    pub(crate) fn sweep<const W: usize>(
+        &self,
+        sources: [NodeId; W],
+        config: &PprConfig,
+    ) -> Vec<f32> {
         let n = self.n_nodes();
-        let mut r = vec![0.0f32; n];
-        // One extra slot: the padding source, whose share stays +0.0.
-        let mut share = vec![0.0f32; n + 1];
-        r[source.0 as usize] = 1.0;
+        let mut r = vec![0.0f32; n * W];
+        // One extra row: the padding source, whose shares stay +0.0.
+        let mut share = vec![0.0f32; (n + 1) * W];
+        for (w, s) in sources.iter().enumerate() {
+            r[s.0 as usize * W + w] = 1.0;
+        }
         for _ in 0..config.iterations {
-            for ((sh, &mass), &deg) in share.iter_mut().zip(&r).zip(&self.degree) {
+            // One flat pass over node-major entries: at W = 1 it is the
+            // plain per-node loop, which vectorizes across nodes.
+            for (i, (sh, &mass)) in share.iter_mut().zip(&r).enumerate() {
+                let deg = self.degree[i / W];
                 *sh =
                     if mass == 0.0 || deg == 0.0 { 0.0 } else { (1.0 - config.alpha) * mass / deg };
             }
-            for (targets, bounds) in self.order.chunks(LANES).zip(self.offsets.windows(2)) {
-                let mut acc = [0.0f32; LANES];
-                for row in self.sources[bounds[0]..bounds[1]].chunks_exact(LANES) {
+            let (share_rows, _) = share.as_chunks::<W>();
+            let (r_rows, _) = r.as_chunks_mut::<W>();
+            for (targets, bounds) in self.order.chunks(CHUNK).zip(self.offsets.windows(2)) {
+                let mut acc = [[0.0f32; W]; CHUNK];
+                for row in self.sources[bounds[0]..bounds[1]].chunks_exact(CHUNK) {
                     for (a, &s) in acc.iter_mut().zip(row) {
-                        *a += share[s as usize];
+                        for (a, &sh) in a.iter_mut().zip(&share_rows[s as usize]) {
+                            *a += sh;
+                        }
                     }
                 }
                 for (&t, a) in targets.iter().zip(acc) {
-                    r[t as usize] = a;
+                    r_rows[t as usize] = a;
                 }
             }
-            r[source.0 as usize] += config.alpha;
+            for (w, s) in sources.iter().enumerate() {
+                r[s.0 as usize * W + w] += config.alpha;
+            }
         }
         r
     }

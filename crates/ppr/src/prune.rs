@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::power::{PprConfig, PprGraph};
+use crate::power::{PprConfig, PprGraph, LANES};
 
 /// Sparse PPR entries kept per user by every KUCNet path: the eager
 /// [`PprCache`] of a trained model, the lazy per-request [`sparse_ppr`] of
@@ -21,7 +21,7 @@ pub const PPR_KEEP: usize = 4096;
 
 /// Sparse per-user PPR scores: for each user, the top entries of its PPR
 /// vector stored as `(node, score)` sorted by node id for binary search.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PprCache {
     per_user: Vec<Vec<(u32, f32)>>,
 }
@@ -29,11 +29,10 @@ pub struct PprCache {
 impl PprCache {
     /// Computes PPR vectors for all `n_users` users of the CKG (user nodes
     /// occupy ids `0..n_users`), keeping at most `keep` entries per user.
-    /// The graph's [`PprGraph`] is built once and shared by every worker.
-    /// Computation is parallelized across `threads` worker threads on the
-    /// shared `kucnet-par` pool; results are identical for every thread
-    /// count, and a panicking worker re-raises its original payload on the
-    /// caller (the message is not swallowed).
+    /// The graph's [`PprGraph`] is built once and [`PprGraph::sparse_many`]
+    /// sweeps it for eight users at a time, the sweeps spread over
+    /// `threads` worker threads on the shared `kucnet-par` pool; results
+    /// are identical for every thread count.
     pub fn compute<G: GraphView>(
         csr: &G,
         n_users: usize,
@@ -41,30 +40,8 @@ impl PprCache {
         keep: usize,
         threads: usize,
     ) -> Self {
-        let graph = PprGraph::new(csr);
-        Self::compute_with(n_users, keep, threads, |u| {
-            let scores = graph.scores(NodeId(u), config);
-            debug_assert_eq!(
-                crate::power::validate_scores(&scores, graph.n_nodes()),
-                Ok(()),
-                "PPR invariants violated for user {u}"
-            );
-            scores
-        })
-    }
-
-    /// Backbone of [`PprCache::compute`], generic over the per-user score
-    /// function so tests can inject failing or synthetic scorers.
-    fn compute_with(
-        n_users: usize,
-        keep: usize,
-        threads: usize,
-        score: impl Fn(u32) -> Vec<f32> + Sync,
-    ) -> Self {
-        let per_user = kucnet_par::par_map(threads, n_users, |u| {
-            sparsify(&score(index_u32(u, "user id")), keep)
-        });
-        Self { per_user }
+        let users: Vec<NodeId> = (0..n_users).map(|u| NodeId(index_u32(u, "user id"))).collect();
+        Self { per_user: PprGraph::new(csr).sparse_many(&users, config, keep, threads) }
     }
 
     /// Number of users covered.
@@ -74,11 +51,7 @@ impl PprCache {
 
     /// PPR score of `node` w.r.t. `user` (0 when truncated away).
     pub fn score(&self, user: UserId, node: NodeId) -> f32 {
-        let entries = &self.per_user[user.0 as usize];
-        match entries.binary_search_by_key(&node.0, |&(n, _)| n) {
-            Ok(idx) => entries[idx].1,
-            Err(_) => 0.0,
-        }
+        entry_score(&self.per_user[user.0 as usize], node)
     }
 
     /// The stored (sparse) entries for a user, sorted by node id.
@@ -130,16 +103,56 @@ impl PprGraph {
     /// The `keep` highest-scoring `(node, score)` pairs of
     /// [`PprGraph::scores`], sorted by node id.
     pub fn sparse(&self, source: NodeId, config: &PprConfig, keep: usize) -> Vec<(u32, f32)> {
-        sparsify(&self.scores(source, config), keep)
+        sparsify(self.scores(source, config).into_iter(), keep)
+    }
+
+    /// [`PprGraph::sparse`] for every source, in order: the sources are cut
+    /// into groups of eight, each group runs as the lanes of one sweep
+    /// (a short last group repeats its first source in the spare lanes),
+    /// and the groups are spread over `threads` worker threads on the
+    /// shared `kucnet-par` pool. Every lane is bitwise its one-source
+    /// vector, so the result equals per-source [`PprGraph::sparse`] for
+    /// every thread count.
+    pub fn sparse_many(
+        &self,
+        sources: &[NodeId],
+        config: &PprConfig,
+        keep: usize,
+        threads: usize,
+    ) -> Vec<Vec<(u32, f32)>> {
+        let groups: Vec<&[NodeId]> = sources.chunks(LANES).collect();
+        let per_group = kucnet_par::par_map(threads, groups.len(), |g| {
+            let group = groups[g];
+            let mut lanes = [group[0]; LANES];
+            lanes[..group.len()].copy_from_slice(group);
+            let scores = self.sweep(lanes, config);
+            (0..group.len())
+                .map(|w| {
+                    let lane = scores[w..].iter().step_by(LANES).copied();
+                    debug_assert_eq!(
+                        crate::power::validate_scores(
+                            &lane.clone().collect::<Vec<_>>(),
+                            self.n_nodes()
+                        ),
+                        Ok(()),
+                        "PPR invariants violated for source {:?}",
+                        group[w]
+                    );
+                    sparsify(lane, keep)
+                })
+                .collect::<Vec<_>>()
+        });
+        per_group.into_iter().flatten().collect()
     }
 }
 
-fn sparsify(scores: &[f32], keep: usize) -> Vec<(u32, f32)> {
+/// The `keep` highest positive `(node, score)` pairs of a score vector,
+/// sorted by node id.
+fn sparsify(scores: impl Iterator<Item = f32>, keep: usize) -> Vec<(u32, f32)> {
     let mut entries: Vec<(u32, f32)> = scores
-        .iter()
         .enumerate()
-        .filter(|&(_, &s)| s > 0.0)
-        .map(|(n, &s)| (index_u32(n, "node id"), s))
+        .filter(|&(_, s)| s > 0.0)
+        .map(|(n, s)| (index_u32(n, "node id"), s))
         .collect();
     if entries.len() > keep {
         // keep = 0 keeps no entries; there is nothing to partition.
@@ -163,35 +176,48 @@ fn sparsify(scores: &[f32], keep: usize) -> Vec<(u32, f32)> {
 pub struct PprTopK<'a> {
     entries: &'a [(u32, f32)],
     k: usize,
+    /// Scratch `(score, rel, tail)` rows of the head being selected, reused
+    /// across heads.
+    scored: Vec<(f32, RelId, NodeId)>,
 }
 
 impl<'a> PprTopK<'a> {
     /// Builds the selector from a sparse score slice sorted by node id.
     pub fn from_entries(entries: &'a [(u32, f32)], k: usize) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries not sorted by node");
-        Self { entries, k }
+        Self { entries, k, scored: Vec::new() }
     }
+}
 
-    fn score(&self, node: NodeId) -> f32 {
-        match self.entries.binary_search_by_key(&node.0, |&(n, _)| n) {
-            Ok(idx) => self.entries[idx].1,
-            Err(_) => 0.0,
-        }
+/// The score of `node` in a sparse row sorted by node id (0 when absent).
+fn entry_score(entries: &[(u32, f32)], node: NodeId) -> f32 {
+    match entries.binary_search_by_key(&node.0, |&(n, _)| n) {
+        Ok(idx) => entries[idx].1,
+        Err(_) => 0.0,
     }
 }
 
 impl EdgeSelector for PprTopK<'_> {
+    /// Looks each candidate's tail score up once, then partitions the
+    /// scored rows by score, descending. The comparator sees the same
+    /// scores as one that looked them up per comparison, so it makes the
+    /// same swaps and keeps the same edges in the same order.
     fn select(&mut self, _head: NodeId, candidates: &mut Vec<(RelId, NodeId)>) {
         if candidates.len() <= self.k {
             return;
         }
         // K = 0 keeps no edges; there is nothing to partition.
         if let Some(last) = self.k.checked_sub(1) {
-            candidates.select_nth_unstable_by(last, |a, b| {
-                let sa = self.score(a.1);
-                let sb = self.score(b.1);
-                sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+            let entries = self.entries;
+            self.scored.clear();
+            self.scored.extend(
+                candidates.iter().map(|&(rel, tail)| (entry_score(entries, tail), rel, tail)),
+            );
+            self.scored.select_nth_unstable_by(last, |a, b| {
+                b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
             });
+            candidates.clear();
+            candidates.extend(self.scored[..self.k].iter().map(|&(_, rel, tail)| (rel, tail)));
         }
         candidates.truncate(self.k);
     }
@@ -252,7 +278,7 @@ mod tests {
     #[test]
     fn sparsify_keeps_top_entries() {
         let scores = vec![0.5, 0.0, 0.1, 0.3, 0.05];
-        let kept = sparsify(&scores, 2);
+        let kept = sparsify(scores.into_iter(), 2);
         assert_eq!(kept.len(), 2);
         let nodes: Vec<u32> = kept.iter().map(|&(n, _)| n).collect();
         assert!(nodes.contains(&0));
@@ -261,7 +287,7 @@ mod tests {
 
     #[test]
     fn sparsify_with_zero_keep_keeps_nothing() {
-        assert!(sparsify(&[0.5, 0.0, 0.1], 0).is_empty());
+        assert!(sparsify([0.5, 0.0, 0.1].into_iter(), 0).is_empty());
     }
 
     #[test]
@@ -302,28 +328,6 @@ mod tests {
             c
         };
         assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn panicking_score_closure_surfaces_its_payload() {
-        // Regression: the old crossbeam-based pool replaced a worker panic
-        // with a generic "ppr worker thread panicked"; the pool must now
-        // resume_unwind the original payload so the message survives.
-        let err = std::panic::catch_unwind(|| {
-            PprCache::compute_with(8, 16, 4, |u| {
-                if u == 5 {
-                    panic!("scores for user {u} diverged");
-                }
-                vec![0.5, 0.5]
-            })
-        })
-        .expect_err("the score closure panicked");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("payload should be the original panic string");
-        assert!(msg.contains("scores for user 5 diverged"), "payload replaced: {msg}");
     }
 
     #[test]

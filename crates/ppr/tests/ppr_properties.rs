@@ -1,21 +1,28 @@
 //! Property-based tests of PPR power iteration and top-K pruning on random
 //! CKGs: the pull-order `PprGraph` kernel equals the push-order oracle bit
-//! for bit, a golden checksum pins the tiny profile's vectors, and
-//! probability-mass invariants of `ppr_scores` and the keep-exactly-K /
-//! keep-the-highest contract of `PprTopK` hold.
+//! for bit, lane-batched `sparse_many` equals per-source `sparse` bit for
+//! bit, golden checksums pin the tiny profile's vectors and lastfm-small's
+//! pruned layered graphs, the pre-scored `PprTopK::select` keeps exactly
+//! what the per-comparison oracle keeps, and probability-mass invariants
+//! of `ppr_scores` and the keep-exactly-K / keep-the-highest contract of
+//! `PprTopK` hold.
 
 use proptest::prelude::*;
 
 use kucnet_datasets::{DatasetProfile, GeneratedDataset};
 use kucnet_graph::{
-    CkgBuilder, Csr, EdgeSelector, EntityId, GraphView, ItemId, KgNode, NodeId, OutEdge, RelId,
-    Triple, UserId,
+    build_layered_graph, CkgBuilder, Csr, EdgeSelector, EntityId, GraphView, ItemId, KgNode,
+    LayeringOptions, NodeId, OutEdge, RelId, Triple, UserId,
 };
-use kucnet_ppr::{ppr_scores, validate_scores, PprCache, PprConfig, PprGraph};
+use kucnet_ppr::{ppr_scores, validate_scores, PprCache, PprConfig, PprGraph, PprTopK, PPR_KEEP};
 
 #[path = "support/push_oracle.rs"]
 mod push_oracle;
 use push_oracle::push_ppr_scores;
+
+#[path = "support/select_oracle.rs"]
+mod select_oracle;
+use select_oracle::select_per_comparison;
 
 /// Strategy: a raw multigraph. Triples repeat (multi-edges) and may be
 /// self-loops; `isolated` trailing nodes get no edge at all; and node 0 may
@@ -113,6 +120,44 @@ fn tiny_profile_scores_match_golden_checksum() {
     assert_eq!(hash, 0xdcc7_451a_9029_0d35, "tiny-profile PPR vectors changed");
 }
 
+/// FNV-1a over every lastfm-small user's `PprTopK` layered graph at depth 3
+/// and K = 5 and K = 20: each layer's node ids, then each layer's
+/// `src_pos`, `rel` and `dst_pos`. The constant was computed before the
+/// selector scored each candidate once and layering hashed ids
+/// multiplicatively.
+#[test]
+fn lastfm_small_layered_graphs_match_golden_checksum() {
+    let data = GeneratedDataset::generate(&DatasetProfile::lastfm_small(), 42);
+    let ckg = data.build_ckg(&data.interactions);
+    let cache = PprCache::compute(ckg.csr(), ckg.n_users(), &PprConfig::default(), PPR_KEEP, 2);
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |words: &mut dyn Iterator<Item = u32>| {
+        for w in words {
+            for b in w.to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    };
+    for k in [5, 20] {
+        for u in 0..ckg.n_users() as u32 {
+            let mut selector = PprTopK::from_entries(cache.entries(UserId(u)), k);
+            let root = ckg.user_node(UserId(u));
+            let graph =
+                build_layered_graph(ckg.csr(), root, &LayeringOptions::new(3), &mut selector);
+            for list in &graph.node_lists {
+                feed(&mut list.iter().map(|n| n.0));
+            }
+            for layer in &graph.layers {
+                feed(&mut layer.src_pos.iter().copied());
+                feed(&mut layer.rel.iter().copied());
+                feed(&mut layer.dst_pos.iter().copied());
+            }
+        }
+    }
+    assert_eq!(hash, 0x2ab6_c50c_cb4c_cde0, "lastfm-small layered graphs changed");
+}
+
 /// Strategy: a random small CKG. User 0 is always given one interaction so
 /// the PPR source node has at least one out-edge (every reached node then
 /// has out-degree >= 1 too, because each triple adds its reverse edge).
@@ -146,6 +191,87 @@ proptest! {
         let config = PprConfig { alpha, iterations };
         assert_pull_matches_push(&graph, &config);
         assert_pull_matches_push(&ForwardOnly(&graph), &config);
+    }
+}
+
+/// Asserts `sparse_many` over `sources` equals per-source `sparse` bitwise.
+fn assert_many_matches_single<G: GraphView>(
+    graph: &G,
+    sources: &[NodeId],
+    config: &PprConfig,
+    keep: usize,
+    threads: usize,
+) {
+    let pull = PprGraph::new(graph);
+    let many = pull.sparse_many(sources, config, keep, threads);
+    assert_eq!(many.len(), sources.len());
+    let key = |e: &[(u32, f32)]| e.iter().map(|&(n, s)| (n, s.to_bits())).collect::<Vec<_>>();
+    for (&s, got) in sources.iter().zip(&many) {
+        let want = pull.sparse(s, config, keep);
+        assert_eq!(key(got), key(&want), "source {s:?} of {sources:?}, keep {keep}, {config:?}");
+    }
+}
+
+/// Strategy: a sparse score row sorted by node id, with scores from a
+/// three-value set so tails tie often. Nodes missing from the row score 0.
+fn random_entries() -> impl Strategy<Value = Vec<(u32, f32)>> {
+    proptest::collection::vec((0u32..40, 0u32..3), 0..30).prop_map(|raw| {
+        let mut entries: Vec<(u32, f32)> =
+            raw.into_iter().map(|(n, s)| (n, [0.125, 0.25, 0.5][s as usize])).collect();
+        entries.sort_by_key(|&(n, _)| n);
+        entries.dedup_by_key(|e| e.0);
+        entries
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Lane-batched `sparse_many` returns per-source `sparse`'s entries bit
+    /// for bit: 1-20 sources (duplicates and counts that are not multiples
+    /// of 8 included), at 1-3 threads, on symmetric CSRs and forward-only
+    /// views.
+    #[test]
+    fn sparse_many_matches_per_source_sparse_bitwise(
+        graph in random_multigraph(),
+        raw_sources in proptest::collection::vec(0u32..64, 1..21),
+        threads in 1usize..4,
+        raw_keep in 0usize..16,
+        iterations in 0usize..30,
+        alpha in 0.01f32..0.99,
+    ) {
+        let n = graph.n_nodes() as u32;
+        let sources: Vec<NodeId> = raw_sources.iter().map(|&s| NodeId(s % n)).collect();
+        // 12 and up keep every entry.
+        let keep = if raw_keep < 12 { raw_keep } else { usize::MAX };
+        let config = PprConfig { alpha, iterations };
+        assert_many_matches_single(&graph, &sources, &config, keep, threads);
+        assert_many_matches_single(&ForwardOnly(&graph), &sources, &config, keep, threads);
+    }
+
+    /// The pre-scored `PprTopK::select` keeps the candidates the
+    /// per-comparison oracle keeps, in the same order, with ties, tails
+    /// absent from the row (score 0) and every K from 0 to two past the
+    /// candidate count.
+    #[test]
+    fn pre_scored_select_matches_per_comparison_oracle(
+        entries in random_entries(),
+        raw in proptest::collection::vec((0u32..5, 0u32..48), 0..200),
+        raw_k in 0usize..1000,
+    ) {
+        let candidates: Vec<(RelId, NodeId)> =
+            raw.into_iter().map(|(r, t)| (RelId(r), NodeId(t))).collect();
+        let k = raw_k % (candidates.len() + 3);
+        let mut want = candidates.clone();
+        select_per_comparison(&entries, k, &mut want);
+        let mut got = candidates.clone();
+        let mut selector = PprTopK::from_entries(&entries, k);
+        selector.select(NodeId(0), &mut got);
+        prop_assert_eq!(&got, &want, "k {}, entries {:?}", k, entries);
+        // The selector's scratch carries nothing from one head to the next.
+        let mut again = candidates;
+        selector.select(NodeId(1), &mut again);
+        prop_assert_eq!(again, want);
     }
 }
 

@@ -72,8 +72,9 @@ for b in table2_stats fig5_params table3_traditional table4_new_item \
 done
 
 # Out-of-core sharding smoke: small-N end-to-end (generate -> load 8 shards
-# -> Zipf sweep), writing BENCH_scale_smoke.json. The recorded full >=1M-user
-# sweep in BENCH_scale.json is produced by running bench_scale without
+# -> Zipf sweep), writing target/bench-smoke/BENCH_scale_smoke.json (smoke
+# runs never write under results/). The recorded full >=1M-user sweep in
+# results/BENCH_scale.json is produced by running bench_scale without
 # --smoke (minutes, not harness-loop material by default).
 echo "=== RUNNING bench_scale --smoke ($(date +%H:%M:%S)) ==="
 ./target/release/bench_scale --smoke 2>&1
