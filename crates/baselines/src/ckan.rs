@@ -12,10 +12,11 @@ use rand::seq::SliceRandom;
 
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, ItemId, UserId};
-use kucnet_tensor::{collect_grads, xavier_uniform, Adam, ParamId, ParamStore, Tape, Var};
+use kucnet_tensor::{xavier_uniform, ParamStore, Tape, Var};
 
 use crate::common::{
-    bpr_epoch, config_rng, interacted_item_nodes, kg_neighbors, user_positives, BaselineConfig,
+    bpr_fit, config_rng, interacted_item_nodes, kg_neighbors, score_all_items, BaselineConfig,
+    BprBatch, BprModel,
 };
 
 /// Flattened neighbor set: parallel `(head, rel, tail)` arrays.
@@ -46,9 +47,8 @@ pub struct Ckan {
     item_sets: Vec<NeighborSet>,
     /// Seed items per user (their interacted item nodes).
     user_seeds: Vec<Vec<u32>>,
+    /// `[emb, rel_emb]`.
     store: ParamStore,
-    emb: ParamId,
-    rel_emb: ParamId,
 }
 
 impl Ckan {
@@ -57,9 +57,8 @@ impl Ckan {
         let mut rng = config_rng(&config);
         let mut store = ParamStore::new();
         let d = config.dim;
-        let emb = store.add("emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
-        let rel_emb = store
-            .add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
+        store.add("emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
+        store.add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
         let nbrs = kg_neighbors(&ckg);
         let cap = config.sample_size * 2;
         let user_seeds: Vec<Vec<u32>> =
@@ -69,7 +68,7 @@ impl Ckan {
         let item_sets: Vec<NeighborSet> = (0..ckg.n_items() as u32)
             .map(|i| expand(&[ckg.item_node(ItemId(i)).0], &nbrs, cap, &mut rng))
             .collect();
-        Self { config, ckg, user_sets, item_sets, user_seeds, store, emb, rel_emb }
+        Self { config, ckg, user_sets, item_sets, user_seeds, store }
     }
 
     /// Attentively pools a batch of flattened neighbor sets into `(B x d)`.
@@ -124,14 +123,9 @@ impl Ckan {
         tape.add(anchor, pooled)
     }
 
-    fn batch_scores(
-        &self,
-        tape: &Tape,
-        emb: Var,
-        rel_emb: Var,
-        users: &[u32],
-        items: &[u32],
-    ) -> Var {
+    /// Scores `(users[k], items[k])` pairs, returning a `(B x 1)` var.
+    fn batch_scores(&self, tape: &Tape, p: &[Var], users: &[u32], items: &[u32]) -> Var {
+        let (emb, rel_emb) = (p[0], p[1]);
         let user_sets: Vec<&NeighborSet> =
             users.iter().map(|&u| &self.user_sets[u as usize]).collect();
         let user_anchors: Vec<Vec<u32>> =
@@ -145,37 +139,20 @@ impl Ckan {
         let i_repr = self.pool(tape, emb, rel_emb, &item_sets, &item_anchors);
         tape.sum_rows(tape.mul(u_repr, i_repr))
     }
+}
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let mut rng = config_rng(&self.config);
-        let mut adam = Adam::new(self.config.learning_rate, self.config.weight_decay);
-        let pos = user_positives(&self.ckg);
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            let triples = bpr_epoch(&self.ckg, &pos, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in triples.chunks(self.config.batch_size) {
-                let tape = Tape::new();
-                let emb = self.store.bind(&tape, self.emb);
-                let rel = self.store.bind(&tape, self.rel_emb);
-                let us: Vec<u32> = batch.iter().map(|t| t.0).collect();
-                let ps: Vec<u32> = batch.iter().map(|t| t.1).collect();
-                let ns: Vec<u32> = batch.iter().map(|t| t.2).collect();
-                let pos_s = self.batch_scores(&tape, emb, rel, &us, &ps);
-                let neg_s = self.batch_scores(&tape, emb, rel, &us, &ns);
-                let diff = tape.sub(pos_s, neg_s);
-                let loss = tape.sum_all(tape.softplus(tape.neg(diff)));
-                epoch_loss += tape.value(loss).get(0, 0) as f64;
-                tape.backward(loss);
-                let grads = collect_grads(&tape, &[(self.emb, emb), (self.rel_emb, rel)]);
-                adam.step(&mut self.store, &grads);
-            }
-            losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-        }
-        losses
+impl BprModel for Ckan {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = b.scored_loss(tape, |items| self.batch_scores(tape, p, &b.users, items));
+        (loss, loss)
     }
 }
+
+bpr_fit!(Ckan);
 
 impl Recommender for Ckan {
     fn name(&self) -> String {
@@ -183,13 +160,9 @@ impl Recommender for Ckan {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        let tape = Tape::new();
-        let emb = tape.constant(self.store.value(self.emb).clone());
-        let rel = tape.constant(self.store.value(self.rel_emb).clone());
-        let items: Vec<u32> = (0..self.ckg.n_items() as u32).collect();
-        let users = vec![user.0; items.len()];
-        let s = self.batch_scores(&tape, emb, rel, &users, &items);
-        tape.value(s).data().to_vec()
+        score_all_items(&self.store, self.ckg.n_items(), user, |tape, p, users, items| {
+            self.batch_scores(tape, p, users, items)
+        })
     }
 
     fn num_params(&self) -> usize {

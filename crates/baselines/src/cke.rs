@@ -7,15 +7,18 @@
 //! lightening of per-relation projections). As in the paper, CKE remains a
 //! shallow first-order method and fails on new items.
 
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, UserId};
-use kucnet_tensor::{collect_grads, xavier_uniform, Adam, ParamId, ParamStore, Tape};
+use kucnet_tensor::{xavier_uniform, ParamId, ParamStore, Tape, Var};
 
-use crate::common::{bpr_epoch, config_rng, user_positives, BaselineConfig};
+use crate::common::{bpr_fit, bpr_loss, config_rng, BaselineConfig, BprBatch, BprModel};
 
-/// CKE model.
+/// CKE model. Trains jointly: BPR on interactions plus `0.1 ×` the
+/// translation loss on KG triples with corrupted tails; the reported
+/// per-epoch losses are the BPR part alone.
 pub struct Cke {
     config: BaselineConfig,
     ckg: Ckg,
@@ -23,8 +26,6 @@ pub struct Cke {
     user_emb: ParamId,
     item_emb: ParamId,
     kg_emb: ParamId,
-    rel_emb: ParamId,
-    proj: ParamId,
 }
 
 impl Cke {
@@ -36,97 +37,61 @@ impl Cke {
         let user_emb = store.add("user_emb", xavier_uniform(ckg.n_users(), d, &mut rng));
         let item_emb = store.add("item_emb", xavier_uniform(ckg.n_items(), d, &mut rng));
         let kg_emb = store.add("kg_emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
-        let rel_emb = store
-            .add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
-        let proj = store.add("proj", xavier_uniform(d, d, &mut rng));
-        Self { config, ckg, store, user_emb, item_emb, kg_emb, rel_emb, proj }
-    }
-
-    /// Trains jointly: BPR on interactions plus translation loss on KG
-    /// triples with corrupted tails. Returns per-epoch mean BPR losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let mut rng = config_rng(&self.config);
-        let mut adam = Adam::new(self.config.learning_rate, self.config.weight_decay);
-        let pos = user_positives(&self.ckg);
-        let kg_triples = self.ckg.kg_triples().to_vec();
-        let n_nodes = self.ckg.n_nodes() as u32;
-        let n_users = self.ckg.n_users() as u32;
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            let triples = bpr_epoch(&self.ckg, &pos, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in triples.chunks(self.config.batch_size) {
-                let tape = Tape::new();
-                let ue = self.store.bind(&tape, self.user_emb);
-                let ie = self.store.bind(&tape, self.item_emb);
-                let ke = self.store.bind(&tape, self.kg_emb);
-                let re = self.store.bind(&tape, self.rel_emb);
-                let pj = self.store.bind(&tape, self.proj);
-
-                // CF part: item vector = cf emb + kg emb of the item node.
-                let us: Vec<u32> = batch.iter().map(|t| t.0).collect();
-                let ps: Vec<u32> = batch.iter().map(|t| t.1).collect();
-                let ns: Vec<u32> = batch.iter().map(|t| t.2).collect();
-                let pn: Vec<u32> = ps.iter().map(|&i| n_users + i).collect();
-                let nn: Vec<u32> = ns.iter().map(|&i| n_users + i).collect();
-                let hu = tape.gather_rows(ue, &us);
-                let hp = tape.add(tape.gather_rows(ie, &ps), tape.gather_rows(ke, &pn));
-                let hn = tape.add(tape.gather_rows(ie, &ns), tape.gather_rows(ke, &nn));
-                let pos_s = tape.sum_rows(tape.mul(hu, hp));
-                let neg_s = tape.sum_rows(tape.mul(hu, hn));
-                let diff = tape.sub(pos_s, neg_s);
-                let bpr = tape.sum_all(tape.softplus(tape.neg(diff)));
-
-                // KG part: margin between true and corrupted triples.
-                let kg_loss = if kg_triples.is_empty() {
-                    None
-                } else {
-                    let m = batch.len().min(kg_triples.len());
-                    let mut hs = Vec::with_capacity(m);
-                    let mut rs = Vec::with_capacity(m);
-                    let mut ts = Vec::with_capacity(m);
-                    let mut cs = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let t = &kg_triples[rng.random_range(0..kg_triples.len())];
-                        hs.push(t.head.0);
-                        rs.push(t.rel.0);
-                        ts.push(t.tail.0);
-                        cs.push(rng.random_range(0..n_nodes));
-                    }
-                    let h = tape.matmul(tape.gather_rows(ke, &hs), pj);
-                    let r = tape.gather_rows(re, &rs);
-                    let t = tape.matmul(tape.gather_rows(ke, &ts), pj);
-                    let c = tape.matmul(tape.gather_rows(ke, &cs), pj);
-                    let d_pos = tape.sum_rows(tape.square(tape.sub(tape.add(h, r), t)));
-                    let d_neg = tape.sum_rows(tape.square(tape.sub(tape.add(h, r), c)));
-                    // Want d_pos < d_neg: softplus(d_pos - d_neg).
-                    let margin = tape.sub(d_pos, d_neg);
-                    Some(tape.sum_all(tape.softplus(margin)))
-                };
-
-                let loss = match kg_loss {
-                    Some(kg) => tape.add(bpr, tape.scalar_mul(kg, 0.1)),
-                    None => bpr,
-                };
-                epoch_loss += tape.value(bpr).get(0, 0) as f64;
-                tape.backward(loss);
-                let grads = collect_grads(
-                    &tape,
-                    &[
-                        (self.user_emb, ue),
-                        (self.item_emb, ie),
-                        (self.kg_emb, ke),
-                        (self.rel_emb, re),
-                        (self.proj, pj),
-                    ],
-                );
-                adam.step(&mut self.store, &grads);
-            }
-            losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-        }
-        losses
+        store.add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
+        store.add("proj", xavier_uniform(d, d, &mut rng));
+        Self { config, ckg, store, user_emb, item_emb, kg_emb }
     }
 }
+
+impl BprModel for Cke {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, rng: &mut SmallRng) -> (Var, Var) {
+        let (ue, ie, ke, re, pj) = (p[0], p[1], p[2], p[3], p[4]);
+        // CF part: item vector = cf emb + kg emb of the item node.
+        let n_users = self.ckg.n_users() as u32;
+        let pn: Vec<u32> = b.pos.iter().map(|&i| n_users + i).collect();
+        let nn: Vec<u32> = b.neg.iter().map(|&i| n_users + i).collect();
+        let hu = tape.gather_rows(ue, &b.users);
+        let hp = tape.add(tape.gather_rows(ie, &b.pos), tape.gather_rows(ke, &pn));
+        let hn = tape.add(tape.gather_rows(ie, &b.neg), tape.gather_rows(ke, &nn));
+        let pos_s = tape.sum_rows(tape.mul(hu, hp));
+        let neg_s = tape.sum_rows(tape.mul(hu, hn));
+        let bpr = bpr_loss(tape, pos_s, neg_s);
+
+        // KG part: margin between true and corrupted triples.
+        let kg_triples = self.ckg.kg_triples();
+        if kg_triples.is_empty() {
+            return (bpr, bpr);
+        }
+        let n_nodes = self.ckg.n_nodes() as u32;
+        let m = b.users.len().min(kg_triples.len());
+        let mut hs = Vec::with_capacity(m);
+        let mut rs = Vec::with_capacity(m);
+        let mut ts = Vec::with_capacity(m);
+        let mut cs = Vec::with_capacity(m);
+        for _ in 0..m {
+            let t = &kg_triples[rng.random_range(0..kg_triples.len())];
+            hs.push(t.head.0);
+            rs.push(t.rel.0);
+            ts.push(t.tail.0);
+            cs.push(rng.random_range(0..n_nodes));
+        }
+        let h = tape.matmul(tape.gather_rows(ke, &hs), pj);
+        let r = tape.gather_rows(re, &rs);
+        let t = tape.matmul(tape.gather_rows(ke, &ts), pj);
+        let c = tape.matmul(tape.gather_rows(ke, &cs), pj);
+        let d_pos = tape.sum_rows(tape.square(tape.sub(tape.add(h, r), t)));
+        let d_neg = tape.sum_rows(tape.square(tape.sub(tape.add(h, r), c)));
+        // Want d_pos < d_neg: softplus(d_pos - d_neg).
+        let kg = tape.sum_all(tape.softplus(tape.sub(d_pos, d_neg)));
+        (bpr, tape.add(bpr, tape.scalar_mul(kg, 0.1)))
+    }
+}
+
+bpr_fit!(Cke);
 
 impl Recommender for Cke {
     fn name(&self) -> String {

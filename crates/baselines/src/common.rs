@@ -1,5 +1,6 @@
 //! Shared infrastructure for the learned baselines: hyper-parameters, BPR
-//! pair sampling, and full-graph edge lists for the GNN baselines.
+//! pair sampling, the one BPR training loop, and full-graph edge lists for
+//! the GNN baselines.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -7,6 +8,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use kucnet_graph::{Ckg, RelId, UserId};
+use kucnet_tensor::{collect_grads, Adam, ParamId, ParamStore, Tape, Var};
 
 /// Hyper-parameters shared by every learned baseline.
 #[derive(Clone, Debug)]
@@ -100,6 +102,150 @@ pub fn sample_negative(rng: &mut SmallRng, pos: &[u32], n_items: u32) -> u32 {
 /// A fresh RNG for a config.
 pub fn config_rng(config: &BaselineConfig) -> SmallRng {
     SmallRng::seed_from_u64(config.seed)
+}
+
+/// One minibatch of BPR triples as parallel id columns.
+pub(crate) struct BprBatch {
+    /// User ids.
+    pub users: Vec<u32>,
+    /// Positive item ids.
+    pub pos: Vec<u32>,
+    /// Negative item ids.
+    pub neg: Vec<u32>,
+}
+
+impl BprBatch {
+    /// BPR loss of `score(items)`, the `(B x 1)` scores of this batch's users
+    /// against `items`, scoring positives before negatives.
+    pub fn scored_loss(&self, tape: &Tape, score: impl Fn(&[u32]) -> Var) -> Var {
+        let pos = score(&self.pos);
+        let neg = score(&self.neg);
+        bpr_loss(tape, pos, neg)
+    }
+}
+
+/// A baseline trained by [`fit_bpr`]. The trainer owns everything the
+/// models share; a model supplies only how one batch is scored.
+pub(crate) trait BprModel {
+    /// The config, the training graph and the parameters. The trainer binds
+    /// every parameter in id order and may step them after this call, so a
+    /// model that caches a forward pass drops the cache here.
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore);
+
+    /// One batch on `tape`, with `params` bound in id order: returns the BPR
+    /// loss to report and the objective to minimize (the same var unless the
+    /// model adds a term). Positives are scored before negatives.
+    fn batch_step(
+        &self,
+        tape: &Tape,
+        params: &[Var],
+        batch: &BprBatch,
+        rng: &mut SmallRng,
+    ) -> (Var, Var);
+}
+
+/// The one BPR training loop of the learned baselines: per epoch, fresh
+/// [`bpr_epoch`] triples in `batch_size` chunks, each chunk one tape,
+/// backward pass and Adam step. Calls `callback(epoch, loss, model)` after
+/// every epoch and returns the per-epoch mean BPR losses.
+pub(crate) fn fit_bpr<M: BprModel>(
+    model: &mut M,
+    mut callback: impl FnMut(usize, f32, &M),
+) -> Vec<f32> {
+    let (config, ckg, _) = model.parts();
+    let config = config.clone();
+    let pos = user_positives(ckg);
+    let mut rng = config_rng(&config);
+    let mut adam = Adam::new(config.learning_rate, config.weight_decay);
+    let mut losses = Vec::with_capacity(config.epochs);
+    for epoch in 0..config.epochs {
+        let triples = bpr_epoch(model.parts().1, &pos, &mut rng);
+        let mut epoch_loss = 0.0f64;
+        for chunk in triples.chunks(config.batch_size) {
+            let tape = Tape::new();
+            let store = model.parts().2;
+            let bindings: Vec<(ParamId, Var)> =
+                (0..store.len()).map(|id| (id, store.bind(&tape, id))).collect();
+            let params: Vec<Var> = bindings.iter().map(|&(_, var)| var).collect();
+            let batch = BprBatch {
+                users: chunk.iter().map(|t| t.0).collect(),
+                pos: chunk.iter().map(|t| t.1).collect(),
+                neg: chunk.iter().map(|t| t.2).collect(),
+            };
+            let (bpr, objective) = model.batch_step(&tape, &params, &batch, &mut rng);
+            epoch_loss += tape.value(bpr).get(0, 0) as f64;
+            tape.backward(objective);
+            let grads = collect_grads(&tape, &bindings);
+            adam.step(model.parts().2, &grads);
+        }
+        let loss = (epoch_loss / triples.len().max(1) as f64) as f32;
+        losses.push(loss);
+        callback(epoch, loss, model);
+    }
+    losses
+}
+
+/// Gives a [`BprModel`] its public `fit` and `fit_with_callback`.
+macro_rules! bpr_fit {
+    ($model:ty) => {
+        impl $model {
+            /// Trains with BPR; returns per-epoch mean losses.
+            pub fn fit(&mut self) -> Vec<f32> {
+                $crate::common::fit_bpr(self, |_, _, _| {})
+            }
+
+            /// [`Self::fit`], calling `callback(epoch, loss, &self)` after
+            /// every epoch (`epoch` counts from 0).
+            pub fn fit_with_callback(
+                &mut self,
+                callback: impl FnMut(usize, f32, &Self),
+            ) -> Vec<f32> {
+                $crate::common::fit_bpr(self, callback)
+            }
+        }
+    };
+}
+pub(crate) use bpr_fit;
+
+/// The summed BPR loss `Σ softplus(neg − pos)` of a batch's `(B x 1)`
+/// positive and negative scores.
+pub(crate) fn bpr_loss(tape: &Tape, pos: Var, neg: Var) -> Var {
+    let diff = tape.sub(pos, neg);
+    tape.sum_all(tape.softplus(tape.neg(diff)))
+}
+
+/// BPR loss of dot-product scores: row `users[k]` of `user_table` against
+/// rows `pos[k]` and `neg[k]` of `item_table`.
+pub(crate) fn dot_bpr_loss(
+    tape: &Tape,
+    user_table: Var,
+    users: &[u32],
+    item_table: Var,
+    pos: &[u32],
+    neg: &[u32],
+) -> Var {
+    let hu = tape.gather_rows(user_table, users);
+    let hp = tape.gather_rows(item_table, pos);
+    let hn = tape.gather_rows(item_table, neg);
+    let pos_s = tape.sum_rows(tape.mul(hu, hp));
+    let neg_s = tape.sum_rows(tape.mul(hu, hn));
+    bpr_loss(tape, pos_s, neg_s)
+}
+
+/// Scores `user` against every item through a model's batch scorer
+/// `score(tape, params, users, items)`, with every parameter frozen.
+pub(crate) fn score_all_items(
+    store: &ParamStore,
+    n_items: usize,
+    user: UserId,
+    score: impl FnOnce(&Tape, &[Var], &[u32], &[u32]) -> Var,
+) -> Vec<f32> {
+    let tape = Tape::new();
+    let params: Vec<Var> = (0..store.len()).map(|id| tape.constant_of(store.value(id))).collect();
+    let items: Vec<u32> = (0..n_items as u32).collect();
+    let users = vec![user.0; items.len()];
+    let scores = score(&tape, &params, &users, &items);
+    tape.value(scores).data().to_vec()
 }
 
 /// Full-graph edge lists in global node ids, used by the whole-graph GNN

@@ -6,11 +6,13 @@
 //! use the standard `0.5 * ((Σv)² − Σv²)` identity; NFM feeds the
 //! bi-interaction pooled vector through an MLP instead of summing it.
 
+use rand::rngs::SmallRng;
+
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, ItemId, NodeKind, RelId, UserId};
-use kucnet_tensor::{collect_grads, xavier_uniform, Adam, Matrix, ParamId, ParamStore, Tape, Var};
+use kucnet_tensor::{xavier_uniform, Matrix, ParamStore, Tape, Var};
 
-use crate::common::{bpr_epoch, config_rng, user_positives, BaselineConfig};
+use crate::common::{bpr_fit, config_rng, score_all_items, BaselineConfig, BprBatch, BprModel};
 
 /// Per-item KG entity features: entity feature ids (offset into the feature
 /// vocabulary) for each item, capped at `cap`.
@@ -59,12 +61,10 @@ fn batch_features(
 }
 
 /// Shared FM machinery: first-order weights plus factorized second-order
-/// embeddings over the `users + items + entities` feature vocabulary.
+/// embeddings over the `users + items + entities` feature vocabulary. The
+/// store holds `[w0, w_lin, v]` first; NFM appends its MLP after them.
 struct FmCore {
     store: ParamStore,
-    w0: ParamId,
-    w_lin: ParamId,
-    v: ParamId,
     item_feats: Vec<Vec<u32>>,
     n_users: u32,
 }
@@ -74,24 +74,17 @@ impl FmCore {
         let mut rng = config_rng(config);
         let n_feats = ckg.n_users() + ckg.n_items() + ckg.n_entities();
         let mut store = ParamStore::new();
-        let w0 = store.add("w0", Matrix::zeros(1, 1));
-        let w_lin = store.add("w_lin", Matrix::zeros(n_feats, 1));
-        let v = store.add("v", xavier_uniform(n_feats, config.dim, &mut rng));
+        store.add("w0", Matrix::zeros(1, 1));
+        store.add("w_lin", Matrix::zeros(n_feats, 1));
+        store.add("v", xavier_uniform(n_feats, config.dim, &mut rng));
         let item_feats = item_entity_features(ckg, config.sample_size);
-        Self { store, w0, w_lin, v, item_feats, n_users: ckg.n_users() as u32 }
+        Self { store, item_feats, n_users: ckg.n_users() as u32 }
     }
 
     /// Computes `(linear_score, bi_interaction_vector)` for a batch:
     /// `linear` is `(B x 1)`, `bi` is `(B x d)`.
-    fn forward(
-        &self,
-        tape: &Tape,
-        w0: Var,
-        w_lin: Var,
-        v: Var,
-        users: &[u32],
-        items: &[u32],
-    ) -> (Var, Var) {
+    fn forward(&self, tape: &Tape, p: &[Var], users: &[u32], items: &[u32]) -> (Var, Var) {
+        let (w0, w_lin, v) = (p[0], p[1], p[2]);
         let b = users.len();
         let (feats, sample_of) = batch_features(users, items, self.n_users, &self.item_feats);
         let vf = tape.gather_rows(v, &feats);
@@ -121,21 +114,25 @@ impl Fm {
         Self { config, ckg, core }
     }
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        fit_fm_family(&self.config, &self.ckg, &mut self.core, None)
-    }
-
-    fn score_batch(&self, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let tape = Tape::new();
-        let w0 = tape.constant(self.core.store.value(self.core.w0).clone());
-        let w_lin = tape.constant(self.core.store.value(self.core.w_lin).clone());
-        let v = tape.constant(self.core.store.value(self.core.v).clone());
-        let (lin, bi) = self.core.forward(&tape, w0, w_lin, v, users, items);
-        let score = tape.add(lin, tape.sum_rows(bi));
-        tape.value(score).data().to_vec()
+    /// Scores `(users[k], items[k])` pairs, returning a `(B x 1)` var.
+    fn batch_scores(&self, tape: &Tape, p: &[Var], users: &[u32], items: &[u32]) -> Var {
+        let (lin, bi) = self.core.forward(tape, p, users, items);
+        tape.add(lin, tape.sum_rows(bi))
     }
 }
+
+impl BprModel for Fm {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.core.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = b.scored_loss(tape, |items| self.batch_scores(tape, p, &b.users, items));
+        (loss, loss)
+    }
+}
+
+bpr_fit!(Fm);
 
 impl Recommender for Fm {
     fn name(&self) -> String {
@@ -143,9 +140,9 @@ impl Recommender for Fm {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        let items: Vec<u32> = (0..self.ckg.n_items() as u32).collect();
-        let users = vec![user.0; items.len()];
-        self.score_batch(&users, &items)
+        score_all_items(&self.core.store, self.ckg.n_items(), user, |tape, p, users, items| {
+            self.batch_scores(tape, p, users, items)
+        })
     }
 
     fn num_params(&self) -> usize {
@@ -158,9 +155,6 @@ pub struct Nfm {
     config: BaselineConfig,
     ckg: Ckg,
     core: FmCore,
-    mlp_w1: ParamId,
-    mlp_b1: ParamId,
-    mlp_w2: ParamId,
 }
 
 impl Nfm {
@@ -169,33 +163,33 @@ impl Nfm {
         let mut core = FmCore::new(&config, &ckg);
         let mut rng = config_rng(&config);
         let d = config.dim;
-        let mlp_w1 = core.store.add("mlp_w1", xavier_uniform(d, d, &mut rng));
-        let mlp_b1 = core.store.add("mlp_b1", Matrix::zeros(1, d));
-        let mlp_w2 = core.store.add("mlp_w2", xavier_uniform(d, 1, &mut rng));
-        Self { config, ckg, core, mlp_w1, mlp_b1, mlp_w2 }
+        core.store.add("mlp_w1", xavier_uniform(d, d, &mut rng));
+        core.store.add("mlp_b1", Matrix::zeros(1, d));
+        core.store.add("mlp_w2", xavier_uniform(d, 1, &mut rng));
+        Self { config, ckg, core }
     }
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let mlp = (self.mlp_w1, self.mlp_b1, self.mlp_w2);
-        fit_fm_family(&self.config, &self.ckg, &mut self.core, Some(mlp))
-    }
-
-    fn score_batch(&self, users: &[u32], items: &[u32]) -> Vec<f32> {
-        let tape = Tape::new();
-        let w0 = tape.constant(self.core.store.value(self.core.w0).clone());
-        let w_lin = tape.constant(self.core.store.value(self.core.w_lin).clone());
-        let v = tape.constant(self.core.store.value(self.core.v).clone());
-        let w1 = tape.constant(self.core.store.value(self.mlp_w1).clone());
-        let b1 = tape.constant(self.core.store.value(self.mlp_b1).clone());
-        let w2 = tape.constant(self.core.store.value(self.mlp_w2).clone());
-        let (lin, bi) = self.core.forward(&tape, w0, w_lin, v, users, items);
+    /// Scores `(users[k], items[k])` pairs, returning a `(B x 1)` var.
+    fn batch_scores(&self, tape: &Tape, p: &[Var], users: &[u32], items: &[u32]) -> Var {
+        let (w1, b1, w2) = (p[3], p[4], p[5]);
+        let (lin, bi) = self.core.forward(tape, p, users, items);
         let h = tape.relu(tape.add_row_broadcast(tape.matmul(bi, w1), b1));
-        let deep = tape.matmul(h, w2);
-        let score = tape.add(lin, deep);
-        tape.value(score).data().to_vec()
+        tape.add(lin, tape.matmul(h, w2))
     }
 }
+
+impl BprModel for Nfm {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.core.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = b.scored_loss(tape, |items| self.batch_scores(tape, p, &b.users, items));
+        (loss, loss)
+    }
+}
+
+bpr_fit!(Nfm);
 
 impl Recommender for Nfm {
     fn name(&self) -> String {
@@ -203,69 +197,14 @@ impl Recommender for Nfm {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        let items: Vec<u32> = (0..self.ckg.n_items() as u32).collect();
-        let users = vec![user.0; items.len()];
-        self.score_batch(&users, &items)
+        score_all_items(&self.core.store, self.ckg.n_items(), user, |tape, p, users, items| {
+            self.batch_scores(tape, p, users, items)
+        })
     }
 
     fn num_params(&self) -> usize {
         self.core.store.num_scalars()
     }
-}
-
-/// Shared BPR training loop: `mlp = None` trains plain FM, `Some` trains NFM.
-fn fit_fm_family(
-    config: &BaselineConfig,
-    ckg: &Ckg,
-    core: &mut FmCore,
-    mlp: Option<(ParamId, ParamId, ParamId)>,
-) -> Vec<f32> {
-    let mut rng = config_rng(config);
-    let mut adam = Adam::new(config.learning_rate, config.weight_decay);
-    let pos = user_positives(ckg);
-    let mut losses = Vec::with_capacity(config.epochs);
-    for _ in 0..config.epochs {
-        let triples = bpr_epoch(ckg, &pos, &mut rng);
-        let mut epoch_loss = 0.0f64;
-        for batch in triples.chunks(config.batch_size) {
-            let tape = Tape::new();
-            let w0 = core.store.bind(&tape, core.w0);
-            let w_lin = core.store.bind(&tape, core.w_lin);
-            let v = core.store.bind(&tape, core.v);
-            let mut bindings = vec![(core.w0, w0), (core.w_lin, w_lin), (core.v, v)];
-            let bound_mlp = mlp.map(|(w1, b1, w2)| {
-                let bw1 = core.store.bind(&tape, w1);
-                let bb1 = core.store.bind(&tape, b1);
-                let bw2 = core.store.bind(&tape, w2);
-                bindings.extend([(w1, bw1), (b1, bb1), (w2, bw2)]);
-                (bw1, bb1, bw2)
-            });
-
-            let us: Vec<u32> = batch.iter().map(|t| t.0).collect();
-            let ps: Vec<u32> = batch.iter().map(|t| t.1).collect();
-            let ns: Vec<u32> = batch.iter().map(|t| t.2).collect();
-            let score = |items: &[u32]| -> Var {
-                let (lin, bi) = core.forward(&tape, w0, w_lin, v, &us, items);
-                match bound_mlp {
-                    Some((bw1, bb1, bw2)) => {
-                        let h = tape.relu(tape.add_row_broadcast(tape.matmul(bi, bw1), bb1));
-                        tape.add(lin, tape.matmul(h, bw2))
-                    }
-                    None => tape.add(lin, tape.sum_rows(bi)),
-                }
-            };
-            let pos_s = score(&ps);
-            let neg_s = score(&ns);
-            let diff = tape.sub(pos_s, neg_s);
-            let loss = tape.sum_all(tape.softplus(tape.neg(diff)));
-            epoch_loss += tape.value(loss).get(0, 0) as f64;
-            tape.backward(loss);
-            let grads = collect_grads(&tape, &bindings);
-            adam.step(&mut core.store, &grads);
-        }
-        losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-    }
-    losses
 }
 
 #[cfg(test)]

@@ -1,75 +1,45 @@
 //! Shared machinery for the whole-graph embedding GNN baselines
-//! (R-GCN, KGAT, KGIN): a BPR training loop around a user-supplied
-//! full-graph forward pass, and cached final representations for evaluation.
+//! (R-GCN, KGAT, KGIN): the BPR batch loss over a full-graph forward pass,
+//! and final representations computed once per parameter state for
+//! evaluation.
 //!
 //! These models hold an embedding for every CKG node and propagate over the
 //! *entire* graph each step — the "global aggregation with node embeddings"
 //! family the paper contrasts KUCNet against.
 
+use std::sync::OnceLock;
+
 use kucnet_graph::{Ckg, ItemId, UserId};
-use kucnet_tensor::{collect_grads, Adam, Matrix, ParamId, ParamStore, Tape, Var};
+use kucnet_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
 
-use crate::common::{bpr_epoch, config_rng, user_positives, BaselineConfig};
+use crate::common::{dot_bpr_loss, BprBatch};
 
-/// Trains a full-graph GNN with BPR. `forward` receives the tape and the
-/// bound vars (same order as `ids`) and must return the final `(V x d)` node
-/// representations. Returns per-epoch mean losses.
-pub(crate) fn fit_embedding_gnn(
-    config: &BaselineConfig,
-    ckg: &Ckg,
-    store: &mut ParamStore,
-    ids: &[ParamId],
-    forward: impl Fn(&Tape, &[Var]) -> Var,
-) -> Vec<f32> {
-    let mut rng = config_rng(config);
-    let mut adam = Adam::new(config.learning_rate, config.weight_decay);
-    let pos = user_positives(ckg);
-    let mut losses = Vec::with_capacity(config.epochs);
-    for _ in 0..config.epochs {
-        let triples = bpr_epoch(ckg, &pos, &mut rng);
-        let mut epoch_loss = 0.0f64;
-        for batch in triples.chunks(config.batch_size) {
-            let tape = Tape::new();
-            let bound: Vec<Var> = ids.iter().map(|&id| store.bind(&tape, id)).collect();
-            let bindings: Vec<(ParamId, Var)> =
-                ids.iter().copied().zip(bound.iter().copied()).collect();
-            let reprs = forward(&tape, &bound);
-
-            let us: Vec<u32> = batch.iter().map(|t| ckg.user_node(UserId(t.0)).0).collect();
-            let ps: Vec<u32> = batch.iter().map(|t| ckg.item_node(ItemId(t.1)).0).collect();
-            let ns: Vec<u32> = batch.iter().map(|t| ckg.item_node(ItemId(t.2)).0).collect();
-            let hu = tape.gather_rows(reprs, &us);
-            let hp = tape.gather_rows(reprs, &ps);
-            let hn = tape.gather_rows(reprs, &ns);
-            let pos_s = tape.sum_rows(tape.mul(hu, hp));
-            let neg_s = tape.sum_rows(tape.mul(hu, hn));
-            let diff = tape.sub(pos_s, neg_s);
-            let loss = tape.sum_all(tape.softplus(tape.neg(diff)));
-            epoch_loss += tape.value(loss).get(0, 0) as f64;
-            tape.backward(loss);
-            let grads = collect_grads(&tape, &bindings);
-            adam.step(store, &grads);
-        }
-        losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-    }
-    losses
+/// BPR loss of a batch from the final `(V x d)` node representations:
+/// user rows dotted with positive and negative item rows.
+pub(crate) fn gnn_bpr_loss(tape: &Tape, ckg: &Ckg, reprs: Var, b: &BprBatch) -> Var {
+    let us: Vec<u32> = b.users.iter().map(|&u| ckg.user_node(UserId(u)).0).collect();
+    let ps: Vec<u32> = b.pos.iter().map(|&i| ckg.item_node(ItemId(i)).0).collect();
+    let ns: Vec<u32> = b.neg.iter().map(|&i| ckg.item_node(ItemId(i)).0).collect();
+    dot_bpr_loss(tape, reprs, &us, reprs, &ps, &ns)
 }
 
-/// Computes the final representations once with frozen parameters.
-pub(crate) fn frozen_reprs(
+/// Dot-product scores of one user against every item, from the final
+/// representations: `cached` holds them once `forward` has computed them
+/// with the parameters `ids` frozen, until the model's parameters change.
+pub(crate) fn gnn_scores(
+    ckg: &Ckg,
     store: &ParamStore,
     ids: &[ParamId],
-    forward: impl Fn(&Tape, &[Var]) -> Var,
-) -> Matrix {
-    let tape = Tape::new();
-    let bound: Vec<Var> = ids.iter().map(|&id| tape.constant(store.value(id).clone())).collect();
-    let reprs = forward(&tape, &bound);
-    tape.value(reprs)
-}
-
-/// Dot-product scores of one user against every item, from cached final
-/// representations.
-pub(crate) fn dot_scores(ckg: &Ckg, reprs: &Matrix, user: UserId) -> Vec<f32> {
+    cached: &OnceLock<Matrix>,
+    forward: impl FnOnce(&Tape, &[Var]) -> Var,
+    user: UserId,
+) -> Vec<f32> {
+    let reprs = cached.get_or_init(|| {
+        let tape = Tape::new();
+        let params: Vec<Var> = ids.iter().map(|&id| tape.constant_of(store.value(id))).collect();
+        let reprs = forward(&tape, &params);
+        tape.value(reprs)
+    });
     let u = reprs.row(ckg.user_node(user).0 as usize);
     (0..ckg.n_items() as u32)
         .map(|i| {

@@ -7,12 +7,16 @@
 //! end-to-end with BPR, so — like the paper observes — KGAT is strong in the
 //! traditional setting but collapses for new items.
 
+use std::sync::OnceLock;
+
+use rand::rngs::SmallRng;
+
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, UserId};
 use kucnet_tensor::{xavier_uniform, Matrix, ParamId, ParamStore, Tape, Var};
 
-use crate::common::{config_rng, BaselineConfig, GlobalEdges};
-use crate::gnn_common::{dot_scores, fit_embedding_gnn, frozen_reprs};
+use crate::common::{bpr_fit, config_rng, BaselineConfig, BprBatch, BprModel, GlobalEdges};
+use crate::gnn_common::{gnn_bpr_loss, gnn_scores};
 
 /// KGAT model over the CKG.
 pub struct Kgat {
@@ -21,7 +25,7 @@ pub struct Kgat {
     edges: GlobalEdges,
     store: ParamStore,
     ids: Vec<ParamId>,
-    cached: Option<Matrix>,
+    cached: OnceLock<Matrix>,
 }
 
 impl Kgat {
@@ -40,58 +44,51 @@ impl Kgat {
             ids.push(store.add(format!("l{l}.w_agg"), xavier_uniform(d, d, &mut rng)));
         }
         let edges = GlobalEdges::from_ckg(&ckg);
-        Self { config, ckg, edges, store, ids, cached: None }
+        Self { config, ckg, edges, store, ids, cached: OnceLock::new() }
     }
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let config = self.config.clone();
-        let ckg = self.ckg.clone();
-        let ids = self.ids.clone();
-        let edges = &self.edges;
-        let layers = config.layers;
-        let n_nodes = ckg.n_nodes();
-        let losses = fit_embedding_gnn(&config, &ckg, &mut self.store, &ids, |tape, bound| {
-            forward_impl(tape, bound, edges, layers, n_nodes)
-        });
-        self.cached = Some(frozen_reprs(&self.store, &self.ids, |tape, bound| {
-            forward_impl(tape, bound, &self.edges, self.config.layers, self.ckg.n_nodes())
-        }));
-        losses
+    /// The full-graph forward pass: final `(V x d)` node representations.
+    /// `bound = [emb, rel_emb, w_att, w_agg_0, ..., w_agg_{L-1}]`.
+    fn forward(&self, tape: &Tape, bound: &[Var]) -> Var {
+        let (edges, n_nodes) = (&self.edges, self.ckg.n_nodes());
+        let (emb, rel_emb, w_att) = (bound[0], bound[1], bound[2]);
+        let mut h = emb;
+        let mut total = emb;
+        for l in 0..self.config.layers {
+            let w_agg = bound[3 + l];
+            // Attention scores per edge.
+            let hw = tape.matmul(h, w_att);
+            let src_w = tape.gather_rows(hw, &edges.src);
+            let dst_w = tape.gather_rows(hw, &edges.dst);
+            let r = tape.gather_rows(rel_emb, &edges.rel);
+            let key = tape.tanh(tape.add(src_w, r));
+            let logits = tape.sum_rows(tape.mul(key, dst_w));
+            // Segment softmax over the incoming edges of each dst node.
+            let att = kucnet_tensor::segment_softmax(tape, logits, &edges.dst, n_nodes);
+            // Weighted aggregation.
+            let msg = tape.gather_rows(h, &edges.src);
+            let msg = tape.mul_col_broadcast(msg, att);
+            let agg = tape.scatter_add_rows(msg, &edges.dst, n_nodes);
+            h = tape.leaky_relu(tape.matmul(tape.add(h, agg), w_agg), 0.2);
+            total = tape.add(total, h);
+        }
+        total
     }
 }
 
-/// `bound = [emb, rel_emb, w_att, w_agg_0, ..., w_agg_{L-1}]`.
-fn forward_impl(
-    tape: &Tape,
-    bound: &[Var],
-    edges: &GlobalEdges,
-    layers: usize,
-    n_nodes: usize,
-) -> Var {
-    let (emb, rel_emb, w_att) = (bound[0], bound[1], bound[2]);
-    let mut h = emb;
-    let mut total = emb;
-    for l in 0..layers {
-        let w_agg = bound[3 + l];
-        // Attention scores per edge.
-        let hw = tape.matmul(h, w_att);
-        let src_w = tape.gather_rows(hw, &edges.src);
-        let dst_w = tape.gather_rows(hw, &edges.dst);
-        let r = tape.gather_rows(rel_emb, &edges.rel);
-        let key = tape.tanh(tape.add(src_w, r));
-        let logits = tape.sum_rows(tape.mul(key, dst_w));
-        // Segment softmax over the incoming edges of each dst node.
-        let att = kucnet_tensor::segment_softmax(tape, logits, &edges.dst, n_nodes);
-        // Weighted aggregation.
-        let msg = tape.gather_rows(h, &edges.src);
-        let msg = tape.mul_col_broadcast(msg, att);
-        let agg = tape.scatter_add_rows(msg, &edges.dst, n_nodes);
-        h = tape.leaky_relu(tape.matmul(tape.add(h, agg), w_agg), 0.2);
-        total = tape.add(total, h);
+impl BprModel for Kgat {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        self.cached.take();
+        (&self.config, &self.ckg, &mut self.store)
     }
-    total
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = gnn_bpr_loss(tape, &self.ckg, self.forward(tape, p), b);
+        (loss, loss)
+    }
 }
+
+bpr_fit!(Kgat);
 
 impl Recommender for Kgat {
     fn name(&self) -> String {
@@ -99,15 +96,8 @@ impl Recommender for Kgat {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        match &self.cached {
-            Some(reprs) => dot_scores(&self.ckg, reprs, user),
-            None => {
-                let reprs = frozen_reprs(&self.store, &self.ids, |tape, bound| {
-                    forward_impl(tape, bound, &self.edges, self.config.layers, self.ckg.n_nodes())
-                });
-                dot_scores(&self.ckg, &reprs, user)
-            }
-        }
+        let forward = |tape: &Tape, p: &[Var]| self.forward(tape, p);
+        gnn_scores(&self.ckg, &self.store, &self.ids, &self.cached, forward, user)
     }
 
     fn num_params(&self) -> usize {

@@ -12,12 +12,16 @@
 //! regularizer on intents is omitted; everything else follows the paper's
 //! aggregation scheme.
 
+use std::sync::OnceLock;
+
+use rand::rngs::SmallRng;
+
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, RelId, UserId};
 use kucnet_tensor::{xavier_uniform, Matrix, ParamId, ParamStore, Tape, Var};
 
-use crate::common::{config_rng, BaselineConfig, GlobalEdges};
-use crate::gnn_common::{dot_scores, fit_embedding_gnn, frozen_reprs};
+use crate::common::{bpr_fit, config_rng, BaselineConfig, BprBatch, BprModel, GlobalEdges};
+use crate::gnn_common::{gnn_bpr_loss, gnn_scores};
 
 const N_INTENTS: usize = 4;
 
@@ -32,7 +36,7 @@ pub struct Kgin {
     store: ParamStore,
     ids: Vec<ParamId>,
     n_users: usize,
-    cached: Option<Matrix>,
+    cached: OnceLock<Matrix>,
 }
 
 impl Kgin {
@@ -63,89 +67,57 @@ impl Kgin {
             store,
             ids,
             n_users: ckg.n_users(),
-            cached: None,
+            cached: OnceLock::new(),
         }
     }
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let config = self.config.clone();
-        let ckg = self.ckg.clone();
-        let ids = self.ids.clone();
-        let kg = &self.kg_edges;
-        let ui = &self.ui_edges;
-        let layers = config.layers;
-        let n_nodes = ckg.n_nodes();
-        let n_users = self.n_users;
-        let losses = fit_embedding_gnn(&config, &ckg, &mut self.store, &ids, |tape, bound| {
-            forward_impl(tape, bound, kg, ui, layers, n_nodes, n_users)
-        });
-        self.cached = Some(frozen_reprs(&self.store, &self.ids, |tape, bound| {
-            forward_impl(
-                tape,
-                bound,
-                &self.kg_edges,
-                &self.ui_edges,
-                self.config.layers,
-                self.ckg.n_nodes(),
-                self.n_users,
-            )
-        }));
-        losses
-    }
-}
+    /// The full-graph forward pass: final `(V x d)` node representations.
+    /// `bound = [emb, rel_emb, intent_logits]`.
+    fn forward(&self, tape: &Tape, bound: &[Var]) -> Var {
+        let (kg, ui) = (&self.kg_edges, &self.ui_edges);
+        let (n_nodes, n_users) = (self.ckg.n_nodes(), self.n_users);
+        let (emb, rel_emb, intent_logits) = (bound[0], bound[1], bound[2]);
+        // Intents: attentive combination of relation embeddings (P x d).
+        let intent_att = kucnet_tensor::row_softmax(tape, intent_logits);
+        let intents = tape.matmul(intent_att, rel_emb);
+        // Per-user intent mixture: softmax over intents of (user_emb . intent_p).
+        let user_rows: Vec<u32> = (0..n_users as u32).collect();
+        let user_emb = tape.gather_rows(emb, &user_rows);
+        let ui_logits = {
+            // (U x P) = user_emb * intents^T — expressed via matmul with an
+            // explicitly transposed constant-free path: use matmul on intents
+            // transposed by gather trick is overkill; instead score per intent.
+            // intents is small (P x d), so transpose its value.
+            let intents_val = tape.value(intents);
+            let t = tape.constant(intents_val.transpose());
+            // NOTE: intent gradients for the mixture path flow through the
+            // aggregation below, not through this detached attention — the
+            // standard stop-gradient trick to keep the graph acyclic and cheap.
+            tape.matmul(user_emb, t)
+        };
+        let beta = kucnet_tensor::row_softmax(tape, ui_logits); // (U x P)
+        let user_gate = tape.matmul(beta, intents); // (U x d)
 
-/// `bound = [emb, rel_emb, intent_logits]`.
-fn forward_impl(
-    tape: &Tape,
-    bound: &[Var],
-    kg: &GlobalEdges,
-    ui: &GlobalEdges,
-    layers: usize,
-    n_nodes: usize,
-    n_users: usize,
-) -> Var {
-    let (emb, rel_emb, intent_logits) = (bound[0], bound[1], bound[2]);
-    // Intents: attentive combination of relation embeddings (P x d).
-    let intent_att = kucnet_tensor::row_softmax(tape, intent_logits);
-    let intents = tape.matmul(intent_att, rel_emb);
-    // Per-user intent mixture: softmax over intents of (user_emb . intent_p).
-    let user_rows: Vec<u32> = (0..n_users as u32).collect();
-    let user_emb = tape.gather_rows(emb, &user_rows);
-    let ui_logits = {
-        // (U x P) = user_emb * intents^T — expressed via matmul with an
-        // explicitly transposed constant-free path: use matmul on intents
-        // transposed by gather trick is overkill; instead score per intent.
-        // intents is small (P x d), so transpose its value.
-        let intents_val = tape.value(intents);
-        let t = tape.constant(intents_val.transpose());
-        // NOTE: intent gradients for the mixture path flow through the
-        // aggregation below, not through this detached attention — the
-        // standard stop-gradient trick to keep the graph acyclic and cheap.
-        tape.matmul(user_emb, t)
-    };
-    let beta = kucnet_tensor::row_softmax(tape, ui_logits); // (U x P)
-    let user_gate = tape.matmul(beta, intents); // (U x d)
-
-    let kg_norm = tape.constant(Matrix::col_vector(&kg.norm));
-    let ui_norm = tape.constant(Matrix::col_vector(&ui.norm));
-    let mut h = emb;
-    let mut total = emb;
-    for _ in 0..layers {
-        // Item/entity side: h'_v += norm * (e_r ∘ h_s) over KG edges.
-        let hs = tape.gather_rows(h, &kg.src);
-        let hr = tape.gather_rows(rel_emb, &kg.rel);
-        let kg_msg = tape.mul_col_broadcast(tape.mul(hs, hr), kg_norm);
-        let kg_agg = tape.scatter_add_rows(kg_msg, &kg.dst, n_nodes);
-        // User side: h'_u += norm * (gate_u ∘ h_i) over reverse interactions.
-        let hi = tape.gather_rows(h, &ui.src);
-        let gate = tape.gather_rows(user_gate_padded(tape, user_gate, n_nodes), &ui.dst);
-        let ui_msg = tape.mul_col_broadcast(tape.mul(hi, gate), ui_norm);
-        let ui_agg = tape.scatter_add_rows(ui_msg, &ui.dst, n_nodes);
-        h = tape.tanh(tape.add(kg_agg, ui_agg));
-        total = tape.add(total, h);
+        let kg_norm = tape.constant(Matrix::col_vector(&kg.norm));
+        let ui_norm = tape.constant(Matrix::col_vector(&ui.norm));
+        let mut h = emb;
+        let mut total = emb;
+        for _ in 0..self.config.layers {
+            // Item/entity side: h'_v += norm * (e_r ∘ h_s) over KG edges.
+            let hs = tape.gather_rows(h, &kg.src);
+            let hr = tape.gather_rows(rel_emb, &kg.rel);
+            let kg_msg = tape.mul_col_broadcast(tape.mul(hs, hr), kg_norm);
+            let kg_agg = tape.scatter_add_rows(kg_msg, &kg.dst, n_nodes);
+            // User side: h'_u += norm * (gate_u ∘ h_i) over reverse interactions.
+            let hi = tape.gather_rows(h, &ui.src);
+            let gate = tape.gather_rows(user_gate_padded(tape, user_gate, n_nodes), &ui.dst);
+            let ui_msg = tape.mul_col_broadcast(tape.mul(hi, gate), ui_norm);
+            let ui_agg = tape.scatter_add_rows(ui_msg, &ui.dst, n_nodes);
+            h = tape.tanh(tape.add(kg_agg, ui_agg));
+            total = tape.add(total, h);
+        }
+        total
     }
-    total
 }
 
 /// Pads the `(U x d)` user gate up to `(V x d)` so edge gathers can index it
@@ -160,29 +132,28 @@ fn user_gate_padded(tape: &Tape, user_gate: Var, n_nodes: usize) -> Var {
     tape.concat_rows(user_gate, pad)
 }
 
+impl BprModel for Kgin {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        self.cached.take();
+        (&self.config, &self.ckg, &mut self.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = gnn_bpr_loss(tape, &self.ckg, self.forward(tape, p), b);
+        (loss, loss)
+    }
+}
+
+bpr_fit!(Kgin);
+
 impl Recommender for Kgin {
     fn name(&self) -> String {
         "KGIN".into()
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        match &self.cached {
-            Some(reprs) => dot_scores(&self.ckg, reprs, user),
-            None => {
-                let reprs = frozen_reprs(&self.store, &self.ids, |tape, bound| {
-                    forward_impl(
-                        tape,
-                        bound,
-                        &self.kg_edges,
-                        &self.ui_edges,
-                        self.config.layers,
-                        self.ckg.n_nodes(),
-                        self.n_users,
-                    )
-                });
-                dot_scores(&self.ckg, &reprs, user)
-            }
-        }
+        let forward = |tape: &Tape, p: &[Var]| self.forward(tape, p);
+        gnn_scores(&self.ckg, &self.store, &self.ids, &self.cached, forward, user)
     }
 
     fn num_params(&self) -> usize {

@@ -8,13 +8,16 @@
 //! inductive bias (user-personalized relation weights over the KG
 //! neighborhood) is preserved.
 
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, ItemId, UserId};
-use kucnet_tensor::{collect_grads, xavier_uniform, Adam, ParamId, ParamStore, Tape, Var};
+use kucnet_tensor::{xavier_uniform, ParamStore, Tape, Var};
 
-use crate::common::{bpr_epoch, config_rng, kg_neighbors, user_positives, BaselineConfig};
+use crate::common::{
+    bpr_fit, config_rng, kg_neighbors, score_all_items, BaselineConfig, BprBatch, BprModel,
+};
 
 /// KGNN-LS model.
 pub struct KgnnLs {
@@ -22,11 +25,8 @@ pub struct KgnnLs {
     ckg: Ckg,
     /// Per item: sampled `(rel, tail)` KG neighbors (fixed receptive field).
     item_nbrs: Vec<Vec<(u32, u32)>>,
+    /// `[user_emb, ent_emb, rel_emb, w_agg]`.
     store: ParamStore,
-    user_emb: ParamId,
-    ent_emb: ParamId,
-    rel_emb: ParamId,
-    w_agg: ParamId,
 }
 
 impl KgnnLs {
@@ -35,11 +35,10 @@ impl KgnnLs {
         let mut rng = config_rng(&config);
         let mut store = ParamStore::new();
         let d = config.dim;
-        let user_emb = store.add("user_emb", xavier_uniform(ckg.n_users(), d, &mut rng));
-        let ent_emb = store.add("ent_emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
-        let rel_emb = store
-            .add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
-        let w_agg = store.add("w_agg", xavier_uniform(d, d, &mut rng));
+        store.add("user_emb", xavier_uniform(ckg.n_users(), d, &mut rng));
+        store.add("ent_emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
+        store.add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
+        store.add("w_agg", xavier_uniform(d, d, &mut rng));
         let nbrs = kg_neighbors(&ckg);
         let item_nbrs = (0..ckg.n_items() as u32)
             .map(|i| {
@@ -50,21 +49,12 @@ impl KgnnLs {
                 list
             })
             .collect();
-        Self { config, ckg, item_nbrs, store, user_emb, ent_emb, rel_emb, w_agg }
+        Self { config, ckg, item_nbrs, store }
     }
 
     /// Scores `(users[k], items[k])` pairs, returning a `(B x 1)` var.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_scores(
-        &self,
-        tape: &Tape,
-        user_emb: Var,
-        ent_emb: Var,
-        rel_emb: Var,
-        w_agg: Var,
-        users: &[u32],
-        items: &[u32],
-    ) -> Var {
+    fn batch_scores(&self, tape: &Tape, p: &[Var], users: &[u32], items: &[u32]) -> Var {
+        let (user_emb, ent_emb, rel_emb, w_agg) = (p[0], p[1], p[2], p[3]);
         let b = users.len();
         let hu = tape.gather_rows(user_emb, users);
         // Flatten neighbor lists.
@@ -95,47 +85,20 @@ impl KgnnLs {
         let h_item = tape.tanh(tape.matmul(agg, w_agg));
         tape.sum_rows(tape.mul(hu, h_item))
     }
+}
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let mut rng = config_rng(&self.config);
-        let mut adam = Adam::new(self.config.learning_rate, self.config.weight_decay);
-        let pos = user_positives(&self.ckg);
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            let triples = bpr_epoch(&self.ckg, &pos, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in triples.chunks(self.config.batch_size) {
-                let tape = Tape::new();
-                let ue = self.store.bind(&tape, self.user_emb);
-                let ee = self.store.bind(&tape, self.ent_emb);
-                let re = self.store.bind(&tape, self.rel_emb);
-                let wa = self.store.bind(&tape, self.w_agg);
-                let us: Vec<u32> = batch.iter().map(|t| t.0).collect();
-                let ps: Vec<u32> = batch.iter().map(|t| t.1).collect();
-                let ns: Vec<u32> = batch.iter().map(|t| t.2).collect();
-                let pos_s = self.batch_scores(&tape, ue, ee, re, wa, &us, &ps);
-                let neg_s = self.batch_scores(&tape, ue, ee, re, wa, &us, &ns);
-                let diff = tape.sub(pos_s, neg_s);
-                let loss = tape.sum_all(tape.softplus(tape.neg(diff)));
-                epoch_loss += tape.value(loss).get(0, 0) as f64;
-                tape.backward(loss);
-                let grads = collect_grads(
-                    &tape,
-                    &[
-                        (self.user_emb, ue),
-                        (self.ent_emb, ee),
-                        (self.rel_emb, re),
-                        (self.w_agg, wa),
-                    ],
-                );
-                adam.step(&mut self.store, &grads);
-            }
-            losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-        }
-        losses
+impl BprModel for KgnnLs {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = b.scored_loss(tape, |items| self.batch_scores(tape, p, &b.users, items));
+        (loss, loss)
     }
 }
+
+bpr_fit!(KgnnLs);
 
 impl Recommender for KgnnLs {
     fn name(&self) -> String {
@@ -143,15 +106,9 @@ impl Recommender for KgnnLs {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        let tape = Tape::new();
-        let ue = tape.constant(self.store.value(self.user_emb).clone());
-        let ee = tape.constant(self.store.value(self.ent_emb).clone());
-        let re = tape.constant(self.store.value(self.rel_emb).clone());
-        let wa = tape.constant(self.store.value(self.w_agg).clone());
-        let items: Vec<u32> = (0..self.ckg.n_items() as u32).collect();
-        let users = vec![user.0; items.len()];
-        let s = self.batch_scores(&tape, ue, ee, re, wa, &users, &items);
-        tape.value(s).data().to_vec()
+        score_all_items(&self.store, self.ckg.n_items(), user, |tape, p, users, items| {
+            self.batch_scores(tape, p, users, items)
+        })
     }
 
     fn num_params(&self) -> usize {

@@ -4,11 +4,13 @@
 //! scoring, no KG. New items keep their random initialization, which is why
 //! MF collapses to ~0 in the paper's new-item setting (Table IV).
 
+use rand::rngs::SmallRng;
+
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, UserId};
-use kucnet_tensor::{collect_grads, xavier_uniform, Adam, ParamId, ParamStore, Tape};
+use kucnet_tensor::{xavier_uniform, ParamId, ParamStore, Tape, Var};
 
-use crate::common::{bpr_epoch, config_rng, user_positives, BaselineConfig};
+use crate::common::{bpr_fit, config_rng, dot_bpr_loss, BaselineConfig, BprBatch, BprModel};
 
 /// BPR-MF model.
 pub struct Mf {
@@ -28,40 +30,20 @@ impl Mf {
         let item_emb = store.add("item_emb", xavier_uniform(ckg.n_items(), config.dim, &mut rng));
         Self { config, ckg, store, user_emb, item_emb }
     }
+}
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let mut rng = config_rng(&self.config);
-        let mut adam = Adam::new(self.config.learning_rate, self.config.weight_decay);
-        let pos = user_positives(&self.ckg);
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            let triples = bpr_epoch(&self.ckg, &pos, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in triples.chunks(self.config.batch_size) {
-                let tape = Tape::new();
-                let ue = self.store.bind(&tape, self.user_emb);
-                let ie = self.store.bind(&tape, self.item_emb);
-                let us: Vec<u32> = batch.iter().map(|t| t.0).collect();
-                let ps: Vec<u32> = batch.iter().map(|t| t.1).collect();
-                let ns: Vec<u32> = batch.iter().map(|t| t.2).collect();
-                let hu = tape.gather_rows(ue, &us);
-                let hp = tape.gather_rows(ie, &ps);
-                let hn = tape.gather_rows(ie, &ns);
-                let pos_s = tape.sum_rows(tape.mul(hu, hp));
-                let neg_s = tape.sum_rows(tape.mul(hu, hn));
-                let diff = tape.sub(pos_s, neg_s);
-                let loss = tape.sum_all(tape.softplus(tape.neg(diff)));
-                epoch_loss += tape.value(loss).get(0, 0) as f64;
-                tape.backward(loss);
-                let grads = collect_grads(&tape, &[(self.user_emb, ue), (self.item_emb, ie)]);
-                adam.step(&mut self.store, &grads);
-            }
-            losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-        }
-        losses
+impl BprModel for Mf {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = dot_bpr_loss(tape, p[0], &b.users, p[1], &b.pos, &b.neg);
+        (loss, loss)
     }
 }
+
+bpr_fit!(Mf);
 
 impl Recommender for Mf {
     fn name(&self) -> String {

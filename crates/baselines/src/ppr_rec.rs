@@ -20,12 +20,6 @@ impl PprRec {
         let graph = PprGraph::new(ckg.csr());
         Self { ckg, graph, config: PprConfig::default() }
     }
-
-    /// Overrides the PPR parameters.
-    pub fn with_config(mut self, config: PprConfig) -> Self {
-        self.config = config;
-        self
-    }
 }
 
 impl Recommender for PprRec {

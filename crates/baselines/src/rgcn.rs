@@ -8,12 +8,16 @@
 //! recommenders in Table III yet transfers reasonably to DisGeNet's
 //! user-side KG (Table V).
 
+use std::sync::OnceLock;
+
+use rand::rngs::SmallRng;
+
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, UserId};
 use kucnet_tensor::{xavier_uniform, Matrix, ParamId, ParamStore, Tape, Var};
 
-use crate::common::{config_rng, BaselineConfig, GlobalEdges};
-use crate::gnn_common::{dot_scores, fit_embedding_gnn, frozen_reprs};
+use crate::common::{bpr_fit, config_rng, BaselineConfig, BprBatch, BprModel, GlobalEdges};
+use crate::gnn_common::{gnn_bpr_loss, gnn_scores};
 
 const N_BASES: usize = 3;
 
@@ -24,7 +28,7 @@ pub struct Rgcn {
     edges: GlobalEdges,
     store: ParamStore,
     ids: Vec<ParamId>,
-    cached: Option<Matrix>,
+    cached: OnceLock<Matrix>,
 }
 
 impl Rgcn {
@@ -45,65 +49,57 @@ impl Rgcn {
             ids.push(store.add(format!("l{l}.w_self"), xavier_uniform(d, d, &mut rng)));
         }
         let edges = GlobalEdges::from_ckg(&ckg);
-        Self { config, ckg, edges, store, ids, cached: None }
+        Self { config, ckg, edges, store, ids, cached: OnceLock::new() }
     }
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let config = self.config.clone();
-        let ckg = self.ckg.clone();
-        let ids = self.ids.clone();
+    /// The full-graph forward pass: final `(V x d)` node representations.
+    fn forward(&self, tape: &Tape, bound: &[Var]) -> Var {
         let edges = &self.edges;
-        let layers = config.layers;
-        let n_nodes = ckg.n_nodes();
-        let losses = fit_embedding_gnn(&config, &ckg, &mut self.store, &ids, |tape, bound| {
-            forward_impl(tape, bound, edges, layers, n_nodes)
-        });
-        self.cached = Some(frozen_reprs(&self.store, &self.ids, |tape, bound| {
-            forward_impl(tape, bound, &self.edges, self.config.layers, self.ckg.n_nodes())
-        }));
-        losses
+        let n_nodes = self.ckg.n_nodes();
+        let norm = tape.constant(Matrix::col_vector(&edges.norm));
+        let mut h = bound[0];
+        let mut cursor = 1;
+        for _ in 0..self.config.layers {
+            let mut agg: Option<Var> = None;
+            for _ in 0..N_BASES {
+                let basis = bound[cursor];
+                let coef = bound[cursor + 1];
+                cursor += 2;
+                let hb = tape.matmul(h, basis);
+                let msg = tape.gather_rows(hb, &edges.src);
+                let c = tape.gather_rows(coef, &edges.rel);
+                let msg = tape.mul_col_broadcast(msg, c);
+                agg = Some(match agg {
+                    Some(a) => tape.add(a, msg),
+                    None => msg,
+                });
+            }
+            let w_self = bound[cursor];
+            cursor += 1;
+            // audit: allow(no-panic) — N_BASES is a nonzero constant, so the
+            // basis fold above always produces at least one message term.
+            let msg = tape.mul_col_broadcast(agg.expect("N_BASES > 0"), norm);
+            let neigh = tape.scatter_add_rows(msg, &edges.dst, n_nodes);
+            let own = tape.matmul(h, w_self);
+            h = tape.tanh(tape.add(neigh, own));
+        }
+        h
     }
 }
 
-/// The actual forward used by both training and freezing (free function to
-/// sidestep borrow conflicts between `&mut self.store` and `&self.edges`).
-fn forward_impl(
-    tape: &Tape,
-    bound: &[Var],
-    edges: &GlobalEdges,
-    layers: usize,
-    n_nodes: usize,
-) -> Var {
-    let norm = tape.constant(Matrix::col_vector(&edges.norm));
-    let mut h = bound[0];
-    let mut cursor = 1;
-    for _ in 0..layers {
-        let mut agg: Option<Var> = None;
-        for _ in 0..N_BASES {
-            let basis = bound[cursor];
-            let coef = bound[cursor + 1];
-            cursor += 2;
-            let hb = tape.matmul(h, basis);
-            let msg = tape.gather_rows(hb, &edges.src);
-            let c = tape.gather_rows(coef, &edges.rel);
-            let msg = tape.mul_col_broadcast(msg, c);
-            agg = Some(match agg {
-                Some(a) => tape.add(a, msg),
-                None => msg,
-            });
-        }
-        let w_self = bound[cursor];
-        cursor += 1;
-        // audit: allow(no-panic) — N_BASES is a nonzero constant, so the
-        // basis fold above always produces at least one message term.
-        let msg = tape.mul_col_broadcast(agg.expect("N_BASES > 0"), norm);
-        let neigh = tape.scatter_add_rows(msg, &edges.dst, n_nodes);
-        let own = tape.matmul(h, w_self);
-        h = tape.tanh(tape.add(neigh, own));
+impl BprModel for Rgcn {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        self.cached.take();
+        (&self.config, &self.ckg, &mut self.store)
     }
-    h
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = gnn_bpr_loss(tape, &self.ckg, self.forward(tape, p), b);
+        (loss, loss)
+    }
 }
+
+bpr_fit!(Rgcn);
 
 impl Recommender for Rgcn {
     fn name(&self) -> String {
@@ -111,15 +107,8 @@ impl Recommender for Rgcn {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        match &self.cached {
-            Some(reprs) => dot_scores(&self.ckg, reprs, user),
-            None => {
-                let reprs = frozen_reprs(&self.store, &self.ids, |tape, bound| {
-                    forward_impl(tape, bound, &self.edges, self.config.layers, self.ckg.n_nodes())
-                });
-                dot_scores(&self.ckg, &reprs, user)
-            }
-        }
+        let forward = |tape: &Tape, p: &[Var]| self.forward(tape, p);
+        gnn_scores(&self.ckg, &self.store, &self.ids, &self.cached, forward, user)
     }
 
     fn num_params(&self) -> usize {

@@ -13,10 +13,11 @@ use rand::seq::SliceRandom;
 
 use kucnet_eval::Recommender;
 use kucnet_graph::{Ckg, ItemId, UserId};
-use kucnet_tensor::{collect_grads, xavier_uniform, Adam, ParamId, ParamStore, Tape, Var};
+use kucnet_tensor::{xavier_uniform, ParamStore, Tape, Var};
 
 use crate::common::{
-    bpr_epoch, config_rng, interacted_item_nodes, kg_neighbors, user_positives, BaselineConfig,
+    bpr_fit, config_rng, interacted_item_nodes, kg_neighbors, score_all_items, BaselineConfig,
+    BprBatch, BprModel,
 };
 
 const N_HOPS: usize = 2;
@@ -57,9 +58,8 @@ pub struct RippleNet {
     config: BaselineConfig,
     ckg: Ckg,
     ripples: Vec<RippleSet>,
+    /// `[emb, rel_emb]`.
     store: ParamStore,
-    emb: ParamId,
-    rel_emb: ParamId,
 }
 
 impl RippleNet {
@@ -68,26 +68,20 @@ impl RippleNet {
         let mut rng = config_rng(&config);
         let mut store = ParamStore::new();
         let d = config.dim;
-        let emb = store.add("emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
-        let rel_emb = store
-            .add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
+        store.add("emb", xavier_uniform(ckg.n_nodes(), d, &mut rng));
+        store.add("rel_emb", xavier_uniform(ckg.csr().n_relations_total() as usize, d, &mut rng));
         let cap = config.sample_size * 2;
         let ripples = build_ripple_sets(&ckg, cap, &mut rng);
-        Self { config, ckg, ripples, store, emb, rel_emb }
+        Self { config, ckg, ripples, store }
     }
 
     /// Vectorized batch scoring: for samples `(users[k], items[k])` returns a
     /// `(B x 1)` score var.
-    fn batch_scores(
-        &self,
-        tape: &Tape,
-        emb: Var,
-        rel_emb: Var,
-        users: &[u32],
-        item_nodes: &[u32],
-    ) -> Var {
+    fn batch_scores(&self, tape: &Tape, p: &[Var], users: &[u32], items: &[u32]) -> Var {
+        let (emb, rel_emb) = (p[0], p[1]);
         let b = users.len();
-        let v_items = tape.gather_rows(emb, item_nodes);
+        let item_nodes: Vec<u32> = items.iter().map(|&i| self.ckg.item_node(ItemId(i)).0).collect();
+        let v_items = tape.gather_rows(emb, &item_nodes);
         let mut u_repr: Option<Var> = None;
         for hop in 0..N_HOPS {
             // Flatten this hop's triples across the batch.
@@ -127,39 +121,20 @@ impl RippleNet {
             None => tape.constant(kucnet_tensor::Matrix::zeros(b, 1)),
         }
     }
+}
 
-    /// Trains with BPR; returns per-epoch mean losses.
-    pub fn fit(&mut self) -> Vec<f32> {
-        let mut rng = config_rng(&self.config);
-        let mut adam = Adam::new(self.config.learning_rate, self.config.weight_decay);
-        let pos = user_positives(&self.ckg);
-        let mut losses = Vec::with_capacity(self.config.epochs);
-        for _ in 0..self.config.epochs {
-            let triples = bpr_epoch(&self.ckg, &pos, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in triples.chunks(self.config.batch_size) {
-                let tape = Tape::new();
-                let emb = self.store.bind(&tape, self.emb);
-                let rel = self.store.bind(&tape, self.rel_emb);
-                let us: Vec<u32> = batch.iter().map(|t| t.0).collect();
-                let ps: Vec<u32> =
-                    batch.iter().map(|t| self.ckg.item_node(ItemId(t.1)).0).collect();
-                let ns: Vec<u32> =
-                    batch.iter().map(|t| self.ckg.item_node(ItemId(t.2)).0).collect();
-                let pos_s = self.batch_scores(&tape, emb, rel, &us, &ps);
-                let neg_s = self.batch_scores(&tape, emb, rel, &us, &ns);
-                let diff = tape.sub(pos_s, neg_s);
-                let loss = tape.sum_all(tape.softplus(tape.neg(diff)));
-                epoch_loss += tape.value(loss).get(0, 0) as f64;
-                tape.backward(loss);
-                let grads = collect_grads(&tape, &[(self.emb, emb), (self.rel_emb, rel)]);
-                adam.step(&mut self.store, &grads);
-            }
-            losses.push((epoch_loss / triples.len().max(1) as f64) as f32);
-        }
-        losses
+impl BprModel for RippleNet {
+    fn parts(&mut self) -> (&BaselineConfig, &Ckg, &mut ParamStore) {
+        (&self.config, &self.ckg, &mut self.store)
+    }
+
+    fn batch_step(&self, tape: &Tape, p: &[Var], b: &BprBatch, _: &mut SmallRng) -> (Var, Var) {
+        let loss = b.scored_loss(tape, |items| self.batch_scores(tape, p, &b.users, items));
+        (loss, loss)
     }
 }
+
+bpr_fit!(RippleNet);
 
 impl Recommender for RippleNet {
     fn name(&self) -> String {
@@ -167,14 +142,9 @@ impl Recommender for RippleNet {
     }
 
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        let tape = Tape::new();
-        let emb = tape.constant(self.store.value(self.emb).clone());
-        let rel = tape.constant(self.store.value(self.rel_emb).clone());
-        let item_nodes: Vec<u32> =
-            (0..self.ckg.n_items() as u32).map(|i| self.ckg.item_node(ItemId(i)).0).collect();
-        let users = vec![user.0; item_nodes.len()];
-        let s = self.batch_scores(&tape, emb, rel, &users, &item_nodes);
-        tape.value(s).data().to_vec()
+        score_all_items(&self.store, self.ckg.n_items(), user, |tape, p, users, items| {
+            self.batch_scores(tape, p, users, items)
+        })
     }
 
     fn num_params(&self) -> usize {

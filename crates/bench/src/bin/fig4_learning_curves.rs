@@ -7,7 +7,7 @@ use kucnet::{KucNet, SelectorKind};
 use kucnet_baselines::{BaselineConfig, Ckan, Kgat, Kgin, Rgcn};
 use kucnet_bench::{kucnet_config, print_table, write_results, HarnessOpts};
 use kucnet_datasets::{traditional_split, DatasetProfile, GeneratedDataset};
-use kucnet_eval::{evaluate, LearningCurve};
+use kucnet_eval::{evaluate, LearningCurve, Recommender};
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -15,49 +15,37 @@ fn main() {
     let split = traditional_split(&data, 0.2, opts.seed);
     let ckg = data.build_ckg(&split.train);
     let mut curves: Vec<LearningCurve> = Vec::new();
+    let eval_into = |curve: &mut LearningCurve, epoch: usize, m: &(dyn Recommender + Sync)| {
+        let metrics = evaluate(m, &split, opts.n);
+        eprintln!("  {} epoch {epoch}: recall={:.4}", curve.label(), metrics.recall);
+        curve.record(epoch, metrics);
+    };
 
-    // KUCNet: evaluate after every epoch.
-    {
-        let mut curve = LearningCurve::start("KUCNet");
-        let mut model = KucNet::new(kucnet_config(&opts, SelectorKind::PprTopK, true), ckg.clone());
-        model.fit_with_callback(|epoch, _, m| {
-            let metrics = evaluate(m, &split, opts.n);
-            eprintln!("  KUCNet epoch {epoch}: recall={:.4}", metrics.recall);
-            curve.record(epoch, metrics);
-        });
-        curves.push(curve);
-    }
+    // Each model trains once on its own clock and is evaluated after every
+    // epoch. KUCNet's epochs count from 0; a baseline's label is the number
+    // of epochs trained.
+    let mut curve = LearningCurve::start("KUCNet");
+    KucNet::new(kucnet_config(&opts, SelectorKind::PprTopK, true), ckg.clone())
+        .fit_with_callback(|epoch, _, m| eval_into(&mut curve, epoch, m));
+    curves.push(curve);
 
-    // Embedding GNN baselines: re-fit incrementally epoch by epoch is not
-    // exposed, so train for increasing epoch budgets (the curve's time axis
-    // still reflects cumulative training cost fairly since each run is
-    // independent and timed from zero).
-    let budgets: Vec<usize> = (1..=opts.epochs_baseline).step_by(3).collect();
-    macro_rules! baseline_curve {
-        ($name:literal, $ty:ident) => {{
-            let mut curve = LearningCurve::start($name);
-            let mut cumulative = 0.0f64;
-            for &epochs in &budgets {
-                let cfg = BaselineConfig { epochs, seed: opts.seed, ..BaselineConfig::default() };
-                let t = std::time::Instant::now();
-                let mut m = $ty::new(cfg, ckg.clone());
-                m.fit();
-                cumulative += t.elapsed().as_secs_f64();
-                let metrics = evaluate(&m, &split, opts.n);
-                eprintln!("  {} {epochs} epochs: recall={:.4}", $name, metrics.recall);
-                // Record with epoch = budget; seconds from the curve clock
-                // are not meaningful here, so we log cumulative train time
-                // in the TSV via the epoch column ordering.
-                let _ = cumulative;
-                curve.record(epochs, metrics);
-            }
-            curves.push(curve);
-        }};
-    }
-    baseline_curve!("KGAT", Kgat);
-    baseline_curve!("KGIN", Kgin);
-    baseline_curve!("R-GCN", Rgcn);
-    baseline_curve!("CKAN", Ckan);
+    let bc = BaselineConfig {
+        epochs: opts.epochs_baseline,
+        seed: opts.seed,
+        ..BaselineConfig::default()
+    };
+    let mut curve = LearningCurve::start("KGAT");
+    Kgat::new(bc.clone(), ckg.clone()).fit_with_callback(|e, _, m| eval_into(&mut curve, e + 1, m));
+    curves.push(curve);
+    let mut curve = LearningCurve::start("KGIN");
+    Kgin::new(bc.clone(), ckg.clone()).fit_with_callback(|e, _, m| eval_into(&mut curve, e + 1, m));
+    curves.push(curve);
+    let mut curve = LearningCurve::start("R-GCN");
+    Rgcn::new(bc.clone(), ckg.clone()).fit_with_callback(|e, _, m| eval_into(&mut curve, e + 1, m));
+    curves.push(curve);
+    let mut curve = LearningCurve::start("CKAN");
+    Ckan::new(bc, ckg).fit_with_callback(|e, _, m| eval_into(&mut curve, e + 1, m));
+    curves.push(curve);
 
     let mut rows = Vec::new();
     for c in &curves {

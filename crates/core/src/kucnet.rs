@@ -10,7 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use kucnet_eval::Recommender;
-use kucnet_graph::{Ckg, ItemId, LayeredGraph, NodeId, UserId};
+use kucnet_graph::{mix64, Ckg, ItemId, LayeredGraph, NodeId, UserId};
 use kucnet_ppr::{PprCache, PprConfig, PPR_KEEP};
 use kucnet_tensor::{
     collect_grads, Adam, GradEntry, Matrix, MatrixPool, ParamStore, Tape, TapeStash, Var,
@@ -441,11 +441,14 @@ struct UserContribution {
     grads: Vec<GradEntry>,
 }
 
-/// Murmur3/SplitMix-style avalanche finalizer: every input bit affects
-/// every output bit.
+/// Derives the RNG stream for one `(epoch, user)` training task. Decoupling
+/// per-user draws from a shared sequential RNG is what makes parallel
+/// training order-independent: each stream is a pure function of
+/// `(seed, epoch, user)`.
 ///
-/// This matters for stream derivation: `seed_from_u64` expands its input
-/// with SplitMix64, whose internal counter advances by the Weyl constant
+/// The combination is finalized with [`mix64`] rather than handed to
+/// `seed_from_u64` directly: `seed_from_u64` expands its input with
+/// SplitMix64, whose internal counter advances by the Weyl constant
 /// `0x9E37_79B9_7F4A_7C15` per output. If derived seeds for neighboring
 /// users differ by (a small multiple of) that constant, their four-word
 /// expansions are *overlapping windows of the same SplitMix sequence* —
@@ -453,17 +456,6 @@ struct UserContribution {
 /// visibly correlated positives/negatives, which systematically biases
 /// sampling across the whole batch. Finalizing destroys any fixed additive
 /// structure in the inputs before they reach SplitMix64.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derives the RNG stream for one `(epoch, user)` training task. Decoupling
-/// per-user draws from a shared sequential RNG is what makes parallel
-/// training order-independent: each stream is a pure function of
-/// `(seed, epoch, user)` (see [`mix64`] for why the combination is
-/// finalized rather than handed to `seed_from_u64` directly).
 fn per_user_rng(seed: u64, epoch: u64, user: UserId) -> SmallRng {
     let combined = seed
         .wrapping_add(epoch.wrapping_add(1).wrapping_mul(0xD6E8_FEB8_6659_FD93))

@@ -89,11 +89,6 @@ impl ShardService {
         self.model.layout()
     }
 
-    /// Number of users this shard holds a segment for.
-    pub fn resident_users(&self) -> usize {
-        self.user_index.len()
-    }
-
     /// Approximate resident bytes of the pinned segments (the per-shard
     /// memory figure BENCH_scale reports).
     pub fn approx_graph_bytes(&self) -> usize {

@@ -293,15 +293,6 @@ impl Csr {
     pub fn has_edge(&self, head: NodeId, rel: RelId, tail: NodeId) -> bool {
         self.out_edges(head).any(|e| e.rel == rel && e.tail == tail)
     }
-
-    /// Mean out-degree across all nodes.
-    pub fn mean_degree(&self) -> f64 {
-        if self.n_nodes() == 0 {
-            0.0
-        } else {
-            self.n_edges() as f64 / self.n_nodes() as f64
-        }
-    }
 }
 
 #[cfg(test)]

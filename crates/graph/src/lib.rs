@@ -48,7 +48,7 @@ pub use layering::{
     build_layered_graph, EdgeSelector, KeepAll, Layer, LayeredGraph, LayeringOptions,
 };
 pub use shard::{
-    route_bucket, shard_of, Segment, SegmentAddr, SegmentLayout, SegmentView, ShardError,
+    mix64, route_bucket, shard_of, Segment, SegmentAddr, SegmentLayout, SegmentView, ShardError,
     ShardedCkg, N_ROUTE_BUCKETS,
 };
 pub use subgraph::{bfs_distances, build_pair_computation_graph, extract_ui_subgraph, UiSubgraph};

@@ -39,10 +39,11 @@ use crate::view::GraphView;
 /// rankings invariant under resharding.
 pub const N_ROUTE_BUCKETS: u32 = 512;
 
-/// SplitMix64-style avalanche finalizer (same constants as the model's RNG
-/// stream derivation): every input bit affects every output bit, so bucket
-/// loads stay balanced even for dense sequential user ids.
-fn mix64(mut z: u64) -> u64 {
+/// The SplitMix64 avalanche finalizer: every input bit affects every output
+/// bit. It is the one 64-bit mixer of the workspace: routing buckets (loads
+/// stay balanced even for dense sequential user ids), A/B bucketing, fault
+/// draws and the per-user training RNG streams all hash through it.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use kucnet_graph::{LayeredGraph, UserId};
+use kucnet_graph::{mix64, LayeredGraph, UserId};
 use kucnet_tensor::MatrixPool;
 
 use crate::cache::saturating_inc;
@@ -101,13 +101,6 @@ pub struct FaultyService {
     panics: AtomicU64,
     errors: AtomicU64,
     delays: AtomicU64,
-}
-
-/// SplitMix64 finalizer: a well-mixed 64-bit hash of `x`.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Maps a hash onto a uniform draw in `[0, 1)`.

@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kucnet_graph::UserId;
+use kucnet_graph::{mix64, UserId};
 use parking_lot::RwLock;
 
 use crate::cache::saturating_inc;
@@ -365,13 +365,6 @@ impl RegistryPin {
     pub fn model_for(&self, user: UserId) -> &Arc<PinnedModel> {
         &self.models[self.route(user)]
     }
-}
-
-/// SplitMix64 finalizer: a well-mixed 64-bit hash of `x`.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Deterministic weighted A/B bucketing: hashes `(seed, user)` onto a point

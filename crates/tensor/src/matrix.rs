@@ -275,11 +275,6 @@ impl Matrix {
         self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).sum()
     }
 
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// True when all elements are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())

@@ -137,11 +137,6 @@ impl Adam {
         self.lr
     }
 
-    /// Replaces the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one optimizer step for the provided gradients.
     pub fn step(&mut self, store: &mut ParamStore, grads: &[GradEntry]) {
         self.step += 1;

@@ -32,6 +32,12 @@ cargo test -q
 echo "== ranking + model: kucnet-eval and kucnet suites (top-k tie rule, sparse == dense) =="
 cargo test -q -p kucnet-eval -p kucnet
 
+# Release build: the baselines' golden test trains ten models on
+# lastfm-small, ~3 min unoptimized against ~10 s optimized.
+echo "== baselines (golden digests), graph, datasets, par, audit and bench suites =="
+cargo test --release -q -p kucnet-baselines -p kucnet-graph -p kucnet-datasets -p kucnet-par \
+  -p kucnet-audit -p kucnet-bench
+
 echo "== PPR: unit + property tests (pull kernel == push oracle bitwise, golden checksum) =="
 cargo test -q -p kucnet-ppr
 
